@@ -69,13 +69,13 @@ fleet-smoke:  ## 1k-session flow-tier fleet under a time budget, obs-sampled
 
 service-smoke:  ## HTTP service round trip: warm resubmit must be all hits
 	rm -rf .service-smoke
-	timeout 180 env PYTHONPATH=src $(PY) -m repro.cli service smoke \
+	timeout 180 env PYTHONPATH=src $(PY) tests/service_smoke.py smoke \
 		--cache-dir .service-smoke --size-mb 1 --jobs 2
 	rm -rf .service-smoke
 
 obs-smoke:  ## distributed-trace loop: sweep over HTTP, scrape /v1/metrics, reassemble + CHK7xx
 	rm -rf .obs-smoke
-	timeout 180 env PYTHONPATH=src $(PY) -m repro.cli service obs-smoke \
+	timeout 180 env PYTHONPATH=src $(PY) tests/service_smoke.py obs \
 		--cache-dir .obs-smoke --size-mb 2 --jobs 2
 	PYTHONPATH=src $(PY) -m repro.cli trace tree .obs-smoke/obs > /dev/null
 	PYTHONPATH=src $(PY) -m repro.cli check trace .obs-smoke/obs

@@ -330,9 +330,6 @@ def _cmd_cache(args) -> int:
         print(f"entries:    {stats.entries}")
         print(f"size:       {stats.total_bytes / 1e6:.2f} MB")
         print(f"segments:   {stats.segments}")
-        if stats.legacy_entries:
-            print(f"legacy:     {stats.legacy_entries} per-run JSON blob(s) "
-                  f"(migrated to segments on next read)")
         # Durable per-batch store telemetry (one snapshot per batch,
         # appended to <cache>/perf/cache-telemetry.jsonl by the
         # scheduler); the live counters die with each process, so this
@@ -348,8 +345,7 @@ def _cmd_cache(args) -> int:
                   f"{hits} hit(s) / {misses} miss(es) "
                   f"(ratio {ratio:.2f}), "
                   f"{int(last.get('appends', 0))} append(s), "
-                  f"{int(last.get('evictions', 0))} eviction(s), "
-                  f"{int(last.get('migrated', 0))} migrated")
+                  f"{int(last.get('evictions', 0))} eviction(s)")
         else:
             print("telemetry:  no batch snapshots yet "
                   "(each batch appends one to perf/cache-telemetry.jsonl)")
@@ -367,14 +363,10 @@ def _cmd_service(args) -> int:
     sub = args.subcommand or "serve"
     if sub == "serve":
         return _service_serve(args)
-    if sub == "smoke":
-        return _service_smoke(args)
     if sub == "top":
         return _service_top(args)
-    if sub == "obs-smoke":
-        return _service_obs_smoke(args)
-    print(f"unknown service subcommand {sub!r}; choose serve, smoke, top, "
-          f"or obs-smoke", file=sys.stderr)
+    print(f"unknown service subcommand {sub!r}; choose serve or top",
+          file=sys.stderr)
     return 2
 
 
@@ -412,102 +404,6 @@ def _service_serve(args) -> int:
     return 0
 
 
-def _service_smoke(args) -> int:
-    """End-to-end service check: real HTTP on an ephemeral port.
-
-    Submits the same 3-spec batch twice; the second submission must be
-    satisfied entirely from the cache / queue dedup (zero executions).
-    Streams both batches as JSONL and asserts a clean shutdown.
-    """
-    import urllib.request
-
-    from repro.runtime.service import ExperimentService, serve_http
-    from repro.runtime.spec import RunSpec
-
-    def fetch(method: str, url: str, payload=None) -> dict:
-        data = json.dumps(payload).encode() if payload is not None else None
-        req = urllib.request.Request(
-            url, data=data, method=method,
-            headers={"Content-Type": "application/json"},
-        )
-        with urllib.request.urlopen(req, timeout=60) as resp:
-            return json.loads(resp.read().decode())
-
-    def stream(url: str) -> list:
-        events = []
-        with urllib.request.urlopen(url, timeout=120) as resp:
-            for raw in resp:
-                raw = raw.strip()
-                if raw:
-                    events.append(json.loads(raw.decode()))
-        return events
-
-    specs = [
-        RunSpec(
-            protocol="emptcp",
-            builder="static",
-            kwargs={"good_wifi": True, "download_bytes": mib(args.size_mb)},
-            seed=seed,
-            engine="fluid",
-        ).to_dict()
-        for seed in range(3)
-    ]
-    failures: List[str] = []
-    with ExperimentService(
-        Path(args.cache_dir), jobs=args.jobs, timeout_s=args.timeout
-    ) as service:
-        server = serve_http(service)
-        base = f"http://127.0.0.1:{server.server_address[1]}"
-        for phase in ("cold", "warm"):
-            summary = fetch("POST", f"{base}/v1/submit", {"specs": specs})
-            events = stream(f"{base}/v1/stream/{summary['batch']}")
-            jobs = [e for e in events if e.get("event") == "job"]
-            tail = events[-1] if events else {}
-            outcomes = tail.get("outcomes", {})
-            print(f"{phase}: batch {summary['batch']} outcomes {outcomes}")
-            if len(jobs) != len(specs):
-                failures.append(
-                    f"{phase}: streamed {len(jobs)} job events, "
-                    f"expected {len(specs)}"
-                )
-            if tail.get("event") != "summary" or not tail.get("done"):
-                failures.append(
-                    f"{phase}: stream did not end in a finished summary"
-                )
-            if any(e.get("result") is None for e in jobs):
-                failures.append(f"{phase}: a job event carried no result")
-            if phase == "warm":
-                executed = outcomes.get("executed", 0)
-                hits = outcomes.get("cached", 0) + outcomes.get("deduped", 0)
-                if executed:
-                    failures.append(
-                        f"warm resubmit executed {executed} run(s); "
-                        f"expected every run cache/dedup-satisfied"
-                    )
-                if hits != len(specs):
-                    failures.append(
-                        f"warm resubmit had {hits} cache/dedup hits, "
-                        f"expected {len(specs)}"
-                    )
-        status = fetch("GET", f"{base}/v1/status")
-        if status.get("open_jobs") != 0:
-            failures.append(
-                f"{status.get('open_jobs')} job(s) still open after "
-                f"both batches drained"
-            )
-        fetch("POST", f"{base}/v1/shutdown")
-        server.serve_thread.join(timeout=30)
-        if server.serve_thread.is_alive():
-            failures.append("HTTP thread still alive after /v1/shutdown")
-    if failures:
-        for failure in failures:
-            print(f"service smoke FAIL: {failure}", file=sys.stderr)
-        return 1
-    print("service smoke OK: cold batch executed, warm batch fully "
-          "cache/dedup-satisfied, stream and shutdown clean")
-    return 0
-
-
 def _top_value(series: Dict[str, list], name: str) -> float:
     """The first sample of one Prometheus series (0.0 when absent)."""
     samples = series.get(name, [])
@@ -539,7 +435,7 @@ def _format_top(series: Dict[str, list], status: dict) -> str:
         "sched: " + "  ".join(
             f"{key.split('.', 1)[-1]} {int(sched.get(key, 0))}"
             for key in ("scheduler.jobs_done", "scheduler.jobs_failed",
-                        "scheduler.retries", "scheduler.steals",
+                        "scheduler.retries",
                         "scheduler.timeouts", "scheduler.cache_hits")
         )
     )
@@ -582,107 +478,6 @@ def _service_top(args) -> int:
             print(f"error: cannot reach {base}: {exc}", file=sys.stderr)
             return 2
         print(_format_top(series, status))
-    return 0
-
-
-def _service_obs_smoke(args) -> int:
-    """End-to-end observability check over real HTTP.
-
-    Serves with tracing on, scrapes ``/v1/metrics`` cold, drives a
-    multi-job sweep batch through ``/v1/sweep``, then asserts the
-    queue/shard/cache series moved, the lifecycle export reassembles
-    into exactly one root span tree, and CHK7xx passes over the obs
-    dir.  Exercises the full submit → queue → shard → span → scrape →
-    reassemble loop the tracing layer exists for.
-    """
-    import urllib.request
-
-    from repro import check as chk
-    from repro.obs.dist import SPAN_BATCH
-    from repro.obs.prom import parse_prometheus
-    from repro.obs.tree import format_trace_forest, load_trace_forest
-    from repro.runtime.service import ExperimentService, serve_http
-
-    def fetch(method: str, url: str, payload=None) -> dict:
-        data = json.dumps(payload).encode() if payload is not None else None
-        req = urllib.request.Request(
-            url, data=data, method=method,
-            headers={"Content-Type": "application/json"},
-        )
-        with urllib.request.urlopen(req, timeout=60) as resp:
-            return json.loads(resp.read().decode())
-
-    def scrape(url: str) -> Dict[str, list]:
-        with urllib.request.urlopen(url, timeout=60) as resp:
-            return parse_prometheus(resp.read().decode())
-
-    failures: List[str] = []
-    obs_dir = Path(args.obs_dir)
-    obs = ObsOptions(dir=str(obs_dir), trace=True, metrics=False,
-                     profile=args.profile)
-    with ExperimentService(
-        Path(args.cache_dir), jobs=args.jobs, timeout_s=args.timeout, obs=obs,
-    ) as service:
-        server = serve_http(service)
-        base = f"http://127.0.0.1:{server.server_address[1]}"
-        cold = scrape(f"{base}/v1/metrics")
-        sweep = fetch("POST", f"{base}/v1/sweep", {
-            "builder": "static",
-            "parameter": "tau_seconds",
-            "values": [3.0, 6.0],
-            "kwargs": {"good_wifi": True,
-                       "download_bytes": mib(_perf_size_mb(args))},
-        })
-        batch = sweep["batch"]
-        with urllib.request.urlopen(f"{base}/v1/stream/{batch}",
-                                    timeout=120) as resp:
-            events = [json.loads(raw) for raw in resp if raw.strip()]
-        tail = events[-1] if events else {}
-        if not tail.get("done"):
-            failures.append("stream did not end in a finished summary")
-        warm = scrape(f"{base}/v1/metrics")
-        for name in ("repro_queue_submitted_total",
-                     "repro_scheduler_jobs_done_total",
-                     "repro_batches_total"):
-            if not _top_value(warm, name) > _top_value(cold, name):
-                failures.append(
-                    f"{name} did not increase across the batch "
-                    f"({_top_value(cold, name)} -> {_top_value(warm, name)})"
-                )
-        status = fetch("GET", f"{base}/v1/status")
-        trace_id = ""
-        for doc in status.get("batches", {}).values():
-            if doc.get("batch") == batch:
-                trace_id = doc.get("trace_id", "")
-        if not trace_id:
-            failures.append(f"batch {batch} reported no trace id")
-        fetch("POST", f"{base}/v1/shutdown")
-        server.serve_thread.join(timeout=30)
-
-    trees = load_trace_forest(obs_dir, trace_id=trace_id or None)
-    if len(trees) != 1:
-        failures.append(f"expected 1 reassembled trace for {trace_id!r}, "
-                        f"got {len(trees)}")
-    for tree in trees:
-        if len(tree.roots) != 1 or tree.roots[0].span.name != SPAN_BATCH:
-            failures.append(
-                f"trace {tree.trace_id}: expected exactly one {SPAN_BATCH} "
-                f"root, got {[n.span.name for n in tree.roots]}"
-            )
-        if tree.orphans:
-            failures.append(f"trace {tree.trace_id}: {len(tree.orphans)} "
-                            f"orphan span(s)")
-    print(format_trace_forest(trees), end="")
-    report = chk.check_trace_topology(obs_dir)
-    print(report.format())
-    if not report.ok:
-        failures.append("CHK7xx trace-topology check failed")
-    if failures:
-        for failure in failures:
-            print(f"obs smoke FAIL: {failure}", file=sys.stderr)
-        return 1
-    print("obs smoke OK: metrics moved across the batch, one root span "
-          "tree reassembled, trace topology checks pass")
     return 0
 
 
@@ -1200,7 +995,7 @@ _COMMANDS = {
     "perf": (_cmd_perf, "profile hot paths; record/compare perf benchmarks"),
     "run": (_cmd_run, "run one protocol on good|bad WiFi (--engine fluid|packet|flow)"),
     "service": (_cmd_service, "HTTP experiment service "
-                              "(serve [port] | smoke | top | obs-smoke)"),
+                              "(serve [port] | top)"),
     "fleet": (_cmd_fleet, "population-scale flow-tier runs (fleet run|sweep)"),
     "upload": (_cmd_upload, "Extension: bulk uploads (direction-aware EIB)"),
     "streaming": (_cmd_streaming, "Extension: 2.5 Mbps video streaming"),
@@ -1243,8 +1038,8 @@ def main(argv: Optional[List[str]] = None) -> int:
              "or tree; "
              "check subcommand: lint, dataflow, config, trace, determinism, perf, "
              "or all (default); perf subcommand: profile, record (default), "
-             "compare, or check; service subcommand: serve (default), smoke, "
-             "top, or obs-smoke; run: the protocol (default emptcp)",
+             "compare, or check; service subcommand: serve (default) or "
+             "top; run: the protocol (default emptcp)",
     )
     parser.add_argument(
         "target", nargs="?", default=None,

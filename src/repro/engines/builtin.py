@@ -7,9 +7,8 @@ stays acyclic (``repro.engines`` never imports a backend at module
 scope — the backends import ``repro.engines``).
 
 The per-engine protocol tuples declared here are the single source of
-truth: ``repro.experiments.protocols`` derives its legacy
-``ENGINE_PROTOCOLS`` / ``PACKET_PROTOCOLS`` / ``FLOW_PROTOCOLS`` views
-from these registrations, so the sets cannot drift apart again.
+truth: callers ask the registry (``get_engine(name).protocols``), so
+the sets cannot drift apart again.
 """
 
 from __future__ import annotations

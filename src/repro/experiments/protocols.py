@@ -11,10 +11,9 @@ protocol it is driving.
 Engine dispatch goes through :mod:`repro.engines`: each registration
 carries its per-connection constructor (``protocol_factory``) and its
 supported-protocol tuple, so unsupported combinations fail with the
-registry's canonical error naming *that* engine's set.  The legacy
-module attributes (``ENGINES``, ``ENGINE_PROTOCOLS``,
-``PACKET_PROTOCOLS``, ``FLOW_PROTOCOLS``) are live views derived from
-the registrations — they can no longer drift apart.
+registry's canonical error naming *that* engine's set; ask the registry
+(``repro.engines.get_engine(name).protocols``) which protocols an
+engine runs.
 """
 
 from __future__ import annotations
@@ -44,31 +43,6 @@ PROTOCOLS = ("mptcp", "emptcp", "tcp-wifi", "wifi-first", "mdp", "single-path-mo
 MDP_LEVELS = (0.5, 1.0, 2.0, 4.0, 8.0, 12.0, 16.0, 24.0)
 
 _POLICY_CACHE = {}
-
-
-def __getattr__(name: str):
-    """Live registry-derived views of the legacy tuple registries.
-
-    ``ENGINES``, ``ENGINE_PROTOCOLS``, ``PACKET_PROTOCOLS`` and
-    ``FLOW_PROTOCOLS`` used to be hand-maintained copies; deriving
-    them from the :mod:`repro.engines` registrations keeps old import
-    sites working while making drift impossible (a test-registered
-    fourth engine shows up in ``ENGINES`` automatically).
-    """
-    from repro import engines as _engines
-
-    if name == "ENGINES":
-        return _engines.engine_names()
-    if name == "ENGINE_PROTOCOLS":
-        return {
-            eng_name: eng.protocols
-            for eng_name, eng in _engines.registered_engines().items()
-        }
-    if name == "PACKET_PROTOCOLS":
-        return _engines.get_engine("packet").protocols
-    if name == "FLOW_PROTOCOLS":
-        return _engines.get_engine("flow").protocols
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def mdp_policy_for(

@@ -1,4 +1,4 @@
-"""repro.runtime — the sharded experiment execution runtime.
+"""repro.runtime — the experiment execution runtime.
 
 Turns experiment execution into declarative, parallel, cached,
 observable jobs.  Since the runtime split, four separable components
@@ -7,9 +7,9 @@ sit behind the :func:`run_many` facade:
 * :mod:`repro.runtime.queue` — a persistent, crash-recoverable job
   queue (JSONL journal) with priorities, dependency edges, and
   spec-hash deduplication (one execution, many waiters);
-* :mod:`repro.runtime.scheduler` — an asyncio scheduler feeding warm
-  process pools with work stealing; timeouts, bounded retries, and
-  the serial fallback live here as strategy objects;
+* :mod:`repro.runtime.scheduler` — one synchronous dispatcher loop
+  feeding an in-process or warm process pool; timeouts, bounded
+  retries, and the serial fallback live here as strategy objects;
 * :mod:`repro.runtime.store` — the batched append-only segment store
   behind the result cache, with metadata-only stats and
   segment-granular eviction;
@@ -23,7 +23,7 @@ Supporting cast, unchanged in spirit:
 * :mod:`repro.runtime.executor` — the facade: ambient
   :class:`RuntimeContext`, :func:`run_many`/:func:`run_specs`;
 * :mod:`repro.runtime.cache` — the content-addressed result cache
-  (now over the segment store, with legacy-blob migration);
+  over the segment store;
 * :mod:`repro.runtime.clock` — the journaled wall-clock seam the
   determinism checks hold the queue/scheduler/store to;
 * :mod:`repro.runtime.manifest` / :mod:`repro.runtime.progress` —

@@ -21,8 +21,8 @@ it more than a list of specs:
   a killed run resumes instead of restarting.
 
 The queue is a plain thread-safe structure (``threading.Lock``); the
-asyncio scheduler drives it from its loop, and the HTTP service
-submits into it from request threads.  All wall-clock reads go through
+scheduler's dispatcher loop drives it, and the HTTP service submits
+into it from request threads.  All wall-clock reads go through
 the journaled :mod:`repro.runtime.clock` seam.
 """
 
@@ -277,17 +277,6 @@ class JobQueue:
         with self._lock:
             job.attempts += 1
             self._journal("retry", job, attempt=job.attempts)
-
-    def requeue(self, job: Job) -> None:
-        """Put a popped job back (retry): it becomes PENDING again and
-        competes at its original priority."""
-        with self._lock:
-            job.state = PENDING
-            self._journal("retry", job, attempt=job.attempts)
-            self._seq += 1
-            heapq.heappush(
-                self._heap, (-job.priority, self._seq, job.spec_hash)
-            )
 
     def mark_done(self, job: Job, outcome: str, result: Any = None) -> None:
         """Terminal success: record the outcome ("executed"/"cached"),

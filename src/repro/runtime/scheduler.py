@@ -1,4 +1,4 @@
-"""The asyncio scheduler: warm worker pools fed from the job queue.
+"""The scheduler: one dispatcher loop feeding a worker pool from the job queue.
 
 This module is the execution half of the runtime split (the
 :mod:`~repro.runtime.queue` holds *what* to run; the scheduler decides
@@ -8,26 +8,33 @@ This module is the execution half of the runtime split (the
   decorrelated-jitter backoff) and :class:`TimeoutPolicy` (pre-emptive
   ``SIGALRM`` deadline with a wall-clock fallback) carry the knobs that
   used to be loose parameters threaded through ``executor.py``;
-* **worker pools** — :class:`ProcessWorkerPool` wraps a warm
+* **worker pools** — :class:`ProcessWorkerPool` wraps one warm
   ``ProcessPoolExecutor`` (fork-preferring, restartable after a worker
-  crash); :class:`InlineWorkerPool` executes in-process and is both the
-  ``jobs=1`` path and the graceful fallback when no pool can be
-  created;
-* **work stealing** — ready jobs are dealt round-robin across the
-  pools' local deques; an idle worker drains its own deque first, then
-  the central queue (DAG-released work), then steals from the tail of
-  the longest other deque, so one slow shard cannot strand work;
-* **the scheduler** — :meth:`Scheduler.run_batch` drives one queue to
-  completion synchronously (what the :func:`~repro.runtime.executor.run_many`
-  facade calls); :meth:`Scheduler.serve` runs forever on the service's
-  event loop with pools kept warm across batches.
+  crash); :class:`InlineWorkerPool` runs each job on the dispatcher's
+  own thread and is both the ``jobs=1`` path and the graceful fallback
+  when no pool can be created.  Both hand back
+  ``concurrent.futures.Future`` objects;
+* **the dispatcher** — :meth:`Scheduler._dispatch` is the only loop:
+  it fills the pool's free slots from due retries and the queue, waits
+  for the first finished attempt (``wait(FIRST_COMPLETED)``), and
+  settles it — done, failed, or parked for a retry with a not-before
+  time.  :meth:`Scheduler.run_batch` runs it once per batch (what the
+  :func:`~repro.runtime.executor.run_many` facade calls);
+  :meth:`Scheduler.serve` runs it on the service thread until
+  :meth:`Scheduler.stop`, woken at once by :meth:`Scheduler.kick`.
+
+The dispatcher thread does all of the scheduler's bookkeeping — cache
+reads and writes, the perf store, manifest and progress sinks, metrics
+and lifecycle spans — so those structures, which have no locks of
+their own, never see two scheduler threads at once.  The queue is
+shared with submitting threads, and it locks internally.
 
 Warm pools are safe only where workers inherit every builder the specs
 name: the pools fork from the submitting process, so a *scratch*
 builder registered after the pool forked would be missing in the
-workers.  ``run_batch`` therefore builds pools per call (exactly the
-old behaviour), while the long-lived service — whose specs come in by
-name over HTTP and resolve against the default builders — keeps them
+workers.  ``run_batch`` therefore builds its pool per call, sized to
+the cache misses, while the long-lived service — whose specs come in by
+name over HTTP and resolve against the default builders — keeps one
 warm.
 
 Determinism: the module is covered by REP101/REP202; every wall-clock
@@ -42,24 +49,28 @@ with pool/worker/status), and a terminal ``job`` span — all under the
 batch's deterministic trace id, with the per-run obs exports stamped
 with the executing attempt's ``(trace_id, span_id)``.  A
 :class:`~repro.obs.metrics.MetricsRegistry` on the scheduler counts
-retries/steals/timeouts/cache hits for the service's ``/v1/metrics``
+retries/timeouts/crashes/cache hits for the service's ``/v1/metrics``
 plane, and on terminal failure the recorder's flight ring is dumped
-into ``flight_dir``.  Both the asyncio drain and the ``jobs<=1``
-inline fast path go through the same helpers, so the two paths emit
-identical spans.
+into ``flight_dir``.
 """
 
 from __future__ import annotations
 
-import asyncio
-import collections
+import heapq
+import itertools
 import json
 import multiprocessing
 import os
 import random
 import signal
 import threading
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    InvalidStateError,
+    ProcessPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -307,33 +318,28 @@ EWMA_ALPHA = 0.3
 
 
 class InlineWorkerPool:
-    """In-process execution: the ``jobs=1`` path and the pool fallback.
-
-    With ``offload=True`` (the service) the run is pushed onto a
-    helper thread so the scheduler's event loop stays responsive; the
-    timeout then uses the wall-clock fallback since ``SIGALRM`` cannot
-    be armed off the main thread.
-    """
+    """In-process execution on the dispatcher's thread: the ``jobs=1``
+    path and the pool fallback.  On the main thread ``SIGALRM`` still
+    pre-empts a run; elsewhere the timeout is the wall-clock check."""
 
     name = "local"
     capacity = 1
+    generation = 0
 
-    def __init__(self, offload: bool = False):
-        self._offload = offload
-
-    async def execute(
+    def submit(
         self,
         spec: RunSpec,
         timeout: TimeoutPolicy,
         options: Optional[_obs.ObsOptions],
         ctx: Optional[Dict[str, Any]] = None,
-    ) -> Tuple[Any, float, str, str, Dict[str, Any]]:
-        if self._offload:
-            loop = asyncio.get_running_loop()
-            return await loop.run_in_executor(
-                None, self._run, spec, timeout, options, ctx
-            )
-        return self._run(spec, timeout, options, ctx)
+    ) -> Future:
+        """Run ``spec`` now; the returned future is already done."""
+        future: Future = Future()
+        try:
+            future.set_result(self._run(spec, timeout, options, ctx))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
     @staticmethod
     def _run(
@@ -351,74 +357,74 @@ class InlineWorkerPool:
         wall = clock.perf() - start
         return result, wall, "local", trace, meter.finish(wall).to_dict()
 
+    @staticmethod
+    def decode(spec: RunSpec, result: Any) -> Any:
+        return result  # never left the process
+
     def restart(self, generation: int) -> None:  # pragma: no cover
         pass  # nothing to restart in-process
-
-    @property
-    def generation(self) -> int:
-        return 0
 
     def close(self) -> None:
         pass
 
 
 class ProcessWorkerPool:
-    """A warm ``ProcessPoolExecutor`` shard.
+    """A warm ``ProcessPoolExecutor``.
 
     ``restart`` is generation-guarded: when a worker crash breaks the
-    pool, every in-flight ``execute`` observes ``BrokenProcessPool``
-    and asks for a restart, but only the first request (per
-    generation) actually rebuilds the pool.
+    pool, every attempt in flight on it fails with
+    ``BrokenProcessPool``, but only the first one settled (per
+    generation) rebuilds the pool.
     """
 
-    def __init__(self, workers: int, name: str = "pool-0"):
-        self.name = name
+    name = "pool-0"
+
+    def __init__(self, workers: int):
         self.capacity = workers
-        self._workers = workers
+        self.generation = 0
         self._pool: Optional[ProcessPoolExecutor] = _make_pool(workers)
-        self._generation = 0
-        self._lock = threading.Lock()
 
-    @property
-    def generation(self) -> int:
-        return self._generation
-
-    async def execute(
+    def submit(
         self,
         spec: RunSpec,
         timeout: TimeoutPolicy,
         options: Optional[_obs.ObsOptions],
         ctx: Optional[Dict[str, Any]] = None,
-    ) -> Tuple[Any, float, str, str, Dict[str, Any]]:
-        pool = self._pool
-        if pool is None:
-            raise BrokenProcessPool(f"{self.name} could not be rebuilt")
+    ) -> Future:
+        """Hand ``spec`` to a worker; a submission that cannot even be
+        made comes back as a failed future, settled like any other."""
         obs_dict = (
             options.to_dict()
             if options is not None and options.enabled
             else None
         )
-        loop = asyncio.get_running_loop()
-        encoded, wall, worker, trace, perf = await loop.run_in_executor(
-            pool, _worker_run, spec.to_dict(), timeout.timeout_s, obs_dict,
-            ctx,
-        )
-        result = get_builder(spec.builder).decode(encoded)
-        return result, wall, worker, trace, perf
+        try:
+            if self._pool is None:
+                raise BrokenProcessPool("the process pool could not be rebuilt")
+            return self._pool.submit(
+                _worker_run, spec.to_dict(), timeout.timeout_s, obs_dict, ctx
+            )
+        except Exception as exc:
+            future: Future = Future()
+            future.set_exception(exc)
+            return future
+
+    @staticmethod
+    def decode(spec: RunSpec, encoded: Any) -> Any:
+        return get_builder(spec.builder).decode(encoded)
 
     def restart(self, generation: int) -> None:
-        """Rebuild the pool after a crash (no-op if another caller with
-        the same generation already did)."""
-        with self._lock:
-            if generation != self._generation:
-                return
-            self._generation += 1
-            if self._pool is not None:
-                self._pool.shutdown(wait=False)
-            try:
-                self._pool = _make_pool(self._workers)
-            except POOL_UNAVAILABLE:
-                self._pool = None
+        """Rebuild the pool after a crash (no-op if an attempt of the
+        same generation already did)."""
+        if generation != self.generation:
+            return
+        self.generation += 1
+        if self._pool is not None:
+            self._pool.shutdown(wait=False)
+        try:
+            self._pool = _make_pool(self.capacity)
+        except POOL_UNAVAILABLE:
+            self._pool = None
 
     def close(self) -> None:
         if self._pool is not None:
@@ -426,31 +432,32 @@ class ProcessWorkerPool:
             self._pool = None
 
 
-def build_pools(
-    jobs: int, pending: int, offload_inline: bool = False
-) -> List[Any]:
-    """Shard ``jobs`` worker slots into pools sized to the work.
+def build_pool(jobs: int, pending: int) -> Any:
+    """One pool sized to the work.
 
-    ``jobs <= 1`` (or a single pending run) stays in-process; four or
-    more slots are split into two process-pool shards so the scheduler
-    has somewhere to steal between; pool creation failure degrades to
-    in-process execution.
+    ``jobs <= 1`` (or a single pending run) stays in-process; otherwise
+    a process pool of ``min(jobs, pending)`` workers.  Pool creation
+    failure degrades to in-process execution.
     """
     if jobs <= 1 or pending <= 1:
-        return [InlineWorkerPool(offload=offload_inline)]
-    slots = min(jobs, max(pending, 2))
-    shards = 2 if slots >= 4 else 1
-    per = [slots // shards + (1 if k < slots % shards else 0)
-           for k in range(shards)]
-    pools: List[Any] = []
+        return InlineWorkerPool()
     try:
-        for k, workers in enumerate(per):
-            pools.append(ProcessWorkerPool(workers, name=f"pool-{k}"))
+        return ProcessWorkerPool(min(jobs, pending))
     except POOL_UNAVAILABLE:
-        for pool in pools:
-            pool.close()
-        return [InlineWorkerPool(offload=offload_inline)]
-    return pools
+        return InlineWorkerPool()
+
+
+@dataclass
+class _Attempt:
+    """One job's current execution attempt, as the dispatcher holds it."""
+
+    job: Job
+    #: The last retry delay; decorrelated jitter feeds it back in.
+    delay_s: float
+    exec_ctx: Optional[_dist.TraceContext] = None
+    span_start: float = 0.0
+    start: float = 0.0
+    generation: int = 0
 
 
 class BatchSink:
@@ -568,7 +575,6 @@ class Scheduler:
         obs: Optional[_obs.ObsOptions] = None,
         cache: Optional[ResultCache] = None,
         perf_store: Optional[PerfStore] = None,
-        offload_inline: bool = False,
     ):
         self.jobs = jobs
         self.retry = retry
@@ -576,24 +582,17 @@ class Scheduler:
         self.obs = obs
         self.cache = cache
         self.perf_store = perf_store
-        self.offload_inline = offload_inline
         #: Retry pacing entropy.  Deliberately unseeded — these delays
         #: never touch simulation results, and sharing entropy across
         #: processes is exactly what the jitter exists to avoid.
         self._retry_rng = random.Random()  # repro: noqa[REP102]
-        #: Service mode: workers re-check the cache on pop, because an
-        #: earlier batch may have produced the result since submission.
-        #: Batch mode resolves hits upfront instead (so a fully-cached
-        #: batch never forks a pool) and leaves this off.
-        self.worker_cache_check = False
-        self._pools: Optional[List[Any]] = None
-        self._kick: Optional[asyncio.Event] = None
+        #: Done once :meth:`kick` wakes the dispatcher; replaced by the
+        #: dispatcher before it next looks at the queue.
+        self._kick: Future = Future()
         self._stopping = False
-        #: Set by :meth:`serve`; worker threads use it to wake the loop.
-        self.loop: Optional[asyncio.AbstractEventLoop] = None
         self.on_retry: Optional[Callable[[Job, float], None]] = None
         #: Lifecycle-span sink (None = tracing off).  The executor and
-        #: the service attach one; both drain paths emit through it.
+        #: the service attach one.
         self.recorder: Optional[_dist.SpanRecorder] = None
         #: Where the flight ring is dumped on terminal failure/timeout
         #: (the manifest directory, typically).
@@ -603,7 +602,6 @@ class Scheduler:
         self.metrics = MetricsRegistry()
         for _name in (
             "scheduler.retries",
-            "scheduler.steals",
             "scheduler.timeouts",
             "scheduler.crashes",
             "scheduler.cache_hits",
@@ -611,16 +609,15 @@ class Scheduler:
             "scheduler.jobs_failed",
         ):
             self.metrics.counter(_name)
-        #: Jobs currently executing, per pool shard name.
+        #: Jobs currently executing, per pool name.
         self.inflight: Dict[str, int] = {}
         #: Exponentially-weighted events/sec over finished runs.
         self.events_ewma: Optional[float] = None
 
     # -- lifecycle spans --------------------------------------------
     #
-    # Shared by the asyncio drain and the inline fast path so both
-    # produce identical trace topology (the parity the CHK7xx tier
-    # checks).  All are no-ops when no recorder is attached.
+    # The same topology whichever pool ran the job (the parity the
+    # CHK7xx tier checks).  All are no-ops when no recorder is attached.
 
     def _job_ctx(self, job: Job) -> Optional[_dist.TraceContext]:
         if self.recorder is None:
@@ -764,11 +761,11 @@ class Scheduler:
     def run_batch(
         self, queue: JobQueue, sink: Optional[BatchSink] = None
     ) -> None:
-        """Drive ``queue`` to completion, synchronously.
+        """Drive ``queue`` to completion on the calling thread.
 
-        Pools are built per call, sized to the actual cache misses
+        The pool is built per call, sized to the actual cache misses
         (a fully-cached batch never forks a worker), and torn down
-        afterwards — see the module docstring for why warm pools are
+        afterwards — see the module docstring for why a warm pool is
         reserved for the service.
         """
         if sink is not None:
@@ -776,221 +773,171 @@ class Scheduler:
         try:
             self.on_retry = sink.on_retried if sink is not None else None
             self.resolve_cached(queue)
-            if queue.open_jobs() > 0:
-                drained = (
-                    self.jobs <= 1
-                    and not self.offload_inline
-                    and self._drain_inline(queue)
-                )
-                if not drained:
-                    _run_sync(self._drain(queue))
+            misses = queue.open_jobs()
+            if misses > 0:
+                pool = build_pool(self.jobs, misses)
+                try:
+                    self._dispatch(queue, pool)
+                finally:
+                    pool.close()
         finally:
             self.on_retry = None
             self.flush_telemetry(queue)
             if sink is not None:
                 sink.finish()
 
-    async def serve(self, queue: JobQueue) -> None:
-        """Run until :meth:`stop`: pools stay warm, workers sleep on a
-        kick event between submissions (the service kicks on submit)."""
-        self.loop = asyncio.get_running_loop()
-        self._stopping = False
-        self._pools = build_pools(
-            self.jobs, max(self.jobs, 2), offload_inline=True
-        )
+    def serve(self, queue: JobQueue) -> None:
+        """Dispatch on the calling thread until :meth:`stop`, with one
+        pool kept warm across batches; each job is re-checked against
+        the cache when popped, since an earlier batch may have produced
+        its result since it was submitted."""
+        pool = build_pool(self.jobs, self.jobs)
         try:
-            await self._drain(queue, serve=True)
+            self._dispatch(queue, pool, serve=True)
         finally:
-            pools, self._pools = self._pools or [], None
-            for pool in pools:
-                pool.close()
-            self.loop = None
+            pool.close()
+            self._stopping = False
 
     def stop(self) -> None:
-        """Ask a serving scheduler to drain and exit (threadsafe)."""
+        """Ask a serving scheduler to drain and return (threadsafe)."""
         self._stopping = True
-        self.kick_threadsafe()
+        self.kick()
 
-    def kick_threadsafe(self) -> None:
-        """Wake idle workers from another thread (service submit path)."""
-        loop, kick = self.loop, self._kick
-        if loop is not None and kick is not None:
-            loop.call_soon_threadsafe(kick.set)
-
-    # -- the drain --------------------------------------------------
-
-    async def _drain(self, queue: JobQueue, serve: bool = False) -> None:
-        self._kick = asyncio.Event()
-        pools = self._pools
-        own_pools = pools is None
-        if own_pools:
-            pools = build_pools(
-                self.jobs, queue.open_jobs(),
-                offload_inline=self.offload_inline,
-            )
-        assert pools is not None
-        deques: List[Any] = [collections.deque() for _ in pools]
-        if not serve:
-            # Deal the ready jobs round-robin across the pool shards;
-            # DAG-blocked jobs surface later via queue.pop().
-            slot = 0
-            while True:
-                job = queue.pop()
-                if job is None:
-                    break
-                deques[slot % len(deques)].append(job)
-                slot += 1
+    def kick(self) -> None:
+        """Wake the dispatcher from another thread (the service calls
+        this after every submit)."""
         try:
-            workers = [
-                asyncio.ensure_future(
-                    self._worker(queue, pools, deques, k, serve)
-                )
-                for k, pool in enumerate(pools)
-                for _ in range(pool.capacity)
-            ]
-            await asyncio.gather(*workers)
-        finally:
-            if own_pools:
-                for pool in pools:
-                    pool.close()
-            self._kick = None
+            self._kick.set_result(None)
+        except InvalidStateError:
+            pass  # already awake; it has not looked at the queue yet
 
-    async def _worker(
-        self,
-        queue: JobQueue,
-        pools: List[Any],
-        deques: List[Any],
-        pool_index: int,
-        serve: bool,
+    # -- the dispatcher ---------------------------------------------
+
+    def _dispatch(
+        self, queue: JobQueue, pool: Any, serve: bool = False
     ) -> None:
-        pool = pools[pool_index]
-        mine = deques[pool_index]
+        """The one scheduler loop.
+
+        Fills the pool's free slots — due retries first, then the queue
+        — and settles attempts as they finish.  A retry waits out its
+        backoff as a not-before time, so it never holds a slot or
+        stalls the loop.  Returns once nothing is running, due or ready:
+        at once in batch mode, and after :meth:`stop` when serving.
+        """
+        running: Dict[Future, _Attempt] = {}
+        backlog: List[Tuple[float, int, _Attempt]] = []
+        order = itertools.count()
         while True:
-            job: Optional[Job] = None
-            if mine:
-                job = mine.popleft()
-            if job is None:
-                job = queue.pop()
-            if job is None and len(deques) > 1:
-                victim = max(
-                    (d for k, d in enumerate(deques) if k != pool_index),
-                    key=len,
-                )
-                if victim:
-                    job = victim.pop()  # steal the coldest tail entry
-                    self.metrics.counter("scheduler.steals").inc()
-            if job is None:
-                if queue.open_jobs() == 0 and (not serve or self._stopping):
-                    return
-                kick = self._kick
-                assert kick is not None
-                try:
-                    await asyncio.wait_for(kick.wait(), timeout=0.1)
-                except asyncio.TimeoutError:
-                    pass
+            if self._kick.done():
+                self._kick = Future()
+            now = clock.monotonic()
+            while len(running) < pool.capacity:
+                if backlog and backlog[0][0] <= now:
+                    attempt = heapq.heappop(backlog)[2]
                 else:
-                    kick.clear()
-                continue
-            await self._run_job(job, pool, queue)
-            if self._kick is not None:
-                self._kick.set()  # a completion may have released deps
-
-    async def _run_job(self, job: Job, pool: Any, queue: JobQueue) -> None:
-        spec = job.spec
-        if (
-            self.worker_cache_check
-            and self.cache is not None
-            and job.attempts <= 1
-        ):
-            # Service mode: the job may have been satisfied by an
-            # earlier batch since it was submitted.
-            hit = self.cache.get(spec)
-            if hit is not None:
-                self._mark_cached(job, hit, queue)
+                    job = queue.pop()
+                    if job is None:
+                        break
+                    hit = (
+                        self.cache.get(job.spec)
+                        if serve and self.cache is not None
+                        else None
+                    )
+                    if hit is not None:
+                        self._mark_cached(job, hit, queue)
+                        continue
+                    self._record_wait(job)
+                    attempt = _Attempt(job, delay_s=self.retry.backoff_s)
+                self.inflight[pool.name] = len(running) + 1
+                running[self._launch(attempt, pool)] = attempt
+            if not running and not backlog and (not serve or self._stopping):
                 return
-        self._record_wait(job)
-        self.inflight[pool.name] = self.inflight.get(pool.name, 0) + 1
+            done, _ = wait(
+                [*running, self._kick],
+                timeout=(
+                    max(0.0, backlog[0][0] - clock.monotonic())
+                    if backlog else None
+                ),
+                return_when=FIRST_COMPLETED,
+            )
+            for future in done:
+                if future is self._kick:
+                    continue
+                attempt = running.pop(future)
+                retry_in = self._settle(attempt, future, pool, queue)
+                if retry_in is not None:
+                    due = clock.monotonic() + retry_in
+                    heapq.heappush(backlog, (due, next(order), attempt))
+            self.inflight[pool.name] = len(running)
+
+    def _launch(self, attempt: _Attempt, pool: Any) -> Future:
+        """Start the attempt's next execution on ``pool``."""
+        job = attempt.job
+        attempt.exec_ctx = self._exec_ctx(job)
+        attempt.span_start = clock.now()
+        attempt.start = clock.perf()
+        attempt.generation = pool.generation
+        ctx = attempt.exec_ctx
+        return pool.submit(
+            job.spec, self.timeout, self.obs,
+            ctx.to_dict() if ctx is not None else None,
+        )
+
+    def _settle(
+        self, attempt: _Attempt, future: Future, pool: Any, queue: JobQueue
+    ) -> Optional[float]:
+        """Settle one finished execution: the job is done or failed, or
+        the return value is the backoff (seconds) before its retry."""
+        job = attempt.job
         try:
-            await self._attempt_loop(job, pool, queue)
-        finally:
-            self.inflight[pool.name] = self.inflight.get(pool.name, 1) - 1
-
-    async def _attempt_loop(
-        self, job: Job, pool: Any, queue: JobQueue
-    ) -> None:
-        spec = job.spec
-        prev_delay = self.retry.backoff_s
-        while True:
-            exec_ctx = self._exec_ctx(job)
-            ctx_dict = exec_ctx.to_dict() if exec_ctx is not None else None
-            span_start = clock.now()
-            start = clock.perf()
-            generation = pool.generation
-            try:
-                result, wall, worker, trace, perf = await pool.execute(
-                    spec, self.timeout, self.obs, ctx_dict
+            encoded, wall, worker, trace, perf = future.result()
+            result = pool.decode(job.spec, encoded)
+        except (TimeoutError, BrokenProcessPool) as exc:
+            # A timeout, or a worker that died (OOM, hard crash; the
+            # pool is rebuilt): retry the run within the budget.
+            crashed = isinstance(exc, BrokenProcessPool)
+            if crashed:
+                pool.restart(attempt.generation)
+            wall = 0.0 if crashed else clock.perf() - attempt.start
+            job.worker = pool.name
+            self._record_exec(
+                job, attempt.exec_ctx, attempt.span_start,
+                "crashed" if crashed else "timeout", pool.name, pool.name,
+            )
+            self.metrics.counter(
+                "scheduler.crashes" if crashed else "scheduler.timeouts"
+            ).inc()
+            if not self.retry.should_retry(job.attempts):
+                if not crashed:
+                    job.wall_s = wall
+                self._fail_job(
+                    job, queue, exc, "crash" if crashed else "timeout"
                 )
-            except asyncio.CancelledError:
-                raise
-            except TimeoutError as exc:
-                wall = clock.perf() - start
-                job.worker = pool.name
-                self._record_exec(
-                    job, exec_ctx, span_start, "timeout", pool.name, pool.name
-                )
-                self.metrics.counter("scheduler.timeouts").inc()
-                if self.retry.should_retry(job.attempts):
-                    if self.on_retry is not None:
-                        self.on_retry(job, wall)
-                    queue.note_retry(job)
-                    self.metrics.counter("scheduler.retries").inc()
-                    prev_delay = self.retry.delay_s(
-                        prev_delay, self._retry_rng
-                    )
-                    await asyncio.sleep(prev_delay)
-                    continue
-                job.wall_s = wall
-                self._fail_job(job, queue, exc, "timeout")
-                return
-            except BrokenProcessPool as exc:
-                # A worker died (OOM, hard crash): rebuild the pool and
-                # retry the run within the ordinary budget.
-                pool.restart(generation)
-                job.worker = pool.name
-                self._record_exec(
-                    job, exec_ctx, span_start, "crashed", pool.name, pool.name
-                )
-                self.metrics.counter("scheduler.crashes").inc()
-                if self.retry.should_retry(job.attempts):
-                    if self.on_retry is not None:
-                        self.on_retry(job, 0.0)
-                    queue.note_retry(job)
-                    self.metrics.counter("scheduler.retries").inc()
-                    prev_delay = self.retry.delay_s(
-                        prev_delay, self._retry_rng
-                    )
-                    await asyncio.sleep(prev_delay)
-                    continue
-                self._fail_job(job, queue, exc, "crash")
-                return
-            except Exception as exc:
-                # Deterministic simulation failure: retrying would only
-                # reproduce it, so fail immediately.
-                job.wall_s = clock.perf() - start
-                job.worker = pool.name
-                self._record_exec(
-                    job, exec_ctx, span_start, "error", pool.name, pool.name
-                )
-                self._fail_job(job, queue, exc, "error")
-                return
-            else:
-                self._record_exec(
-                    job, exec_ctx, span_start, "ok", worker, pool.name
-                )
-                self._finish_job(
-                    job, queue, result, wall, worker, trace, perf
-                )
-                return
+                return None
+            if self.on_retry is not None:
+                self.on_retry(job, wall)
+            queue.note_retry(job)
+            self.metrics.counter("scheduler.retries").inc()
+            attempt.delay_s = self.retry.delay_s(
+                attempt.delay_s, self._retry_rng
+            )
+            return attempt.delay_s
+        except Exception as exc:
+            # Deterministic simulation failure: retrying would only
+            # reproduce it, so fail immediately.
+            job.wall_s = clock.perf() - attempt.start
+            job.worker = pool.name
+            self._record_exec(
+                job, attempt.exec_ctx, attempt.span_start, "error",
+                pool.name, pool.name,
+            )
+            self._fail_job(job, queue, exc, "error")
+            return None
+        self._record_exec(
+            job, attempt.exec_ctx, attempt.span_start, "ok", worker, pool.name
+        )
+        self._finish_job(job, queue, result, wall, worker, trace, perf)
+        return None
 
     def _fail_job(
         self, job: Job, queue: JobQueue, exc: BaseException, reason: str
@@ -1033,120 +980,6 @@ class Scheduler:
         self._record_job_span(job, "executed", "ok")
         queue.mark_done(job, "executed", result)
 
-    def _drain_inline(self, queue: JobQueue) -> bool:
-        """``jobs<=1`` fast path: the same retry/timeout semantics as
-        :meth:`_run_job`, with no event loop — per-batch asyncio setup
-        costs more than a small batch's entire bookkeeping.
-
-        Returns False (leaving the queue to the async drain) if the
-        queue stalls with open jobs that a lone inline worker cannot
-        release — which a dependency cycle would produce.
-        """
-        name = InlineWorkerPool.name
-        while True:
-            job = queue.pop()
-            if job is None:
-                return queue.open_jobs() == 0
-            spec = job.spec
-            if (
-                self.worker_cache_check
-                and self.cache is not None
-                and job.attempts <= 1
-            ):
-                hit = self.cache.get(spec)
-                if hit is not None:
-                    self._mark_cached(job, hit, queue)
-                    continue
-            self._record_wait(job)
-            self.inflight[name] = self.inflight.get(name, 0) + 1
-            try:
-                self._inline_attempts(job, queue)
-            finally:
-                self.inflight[name] = self.inflight.get(name, 1) - 1
-
-    def _inline_attempts(self, job: Job, queue: JobQueue) -> None:
-        """One job's retry loop on the inline path — span-for-span the
-        same topology and counters as :meth:`_attempt_loop`."""
-        spec = job.spec
-        name = InlineWorkerPool.name
-        prev_delay = self.retry.backoff_s
-        while True:
-            exec_ctx = self._exec_ctx(job)
-            ctx_dict = exec_ctx.to_dict() if exec_ctx is not None else None
-            span_start = clock.now()
-            start = clock.perf()
-            try:
-                result, wall, worker, trace, perf = (
-                    InlineWorkerPool._run(
-                        spec, self.timeout, self.obs, ctx_dict
-                    )
-                )
-            except TimeoutError as exc:
-                wall = clock.perf() - start
-                job.worker = name
-                self._record_exec(
-                    job, exec_ctx, span_start, "timeout", name, name
-                )
-                self.metrics.counter("scheduler.timeouts").inc()
-                if self.retry.should_retry(job.attempts):
-                    if self.on_retry is not None:
-                        self.on_retry(job, wall)
-                    queue.note_retry(job)
-                    self.metrics.counter("scheduler.retries").inc()
-                    prev_delay = self.retry.delay_s(
-                        prev_delay, self._retry_rng
-                    )
-                    clock.sleep(prev_delay)
-                    continue
-                job.wall_s = wall
-                self._fail_job(job, queue, exc, "timeout")
-                return
-            except Exception as exc:
-                # Deterministic simulation failure: retrying would
-                # only reproduce it, so fail immediately.
-                job.wall_s = clock.perf() - start
-                job.worker = name
-                self._record_exec(
-                    job, exec_ctx, span_start, "error", name, name
-                )
-                self._fail_job(job, queue, exc, "error")
-                return
-            else:
-                self._record_exec(
-                    job, exec_ctx, span_start, "ok", worker, name
-                )
-                self._finish_job(
-                    job, queue, result, wall, worker, trace, perf
-                )
-                return
-
-
-def _run_sync(coro: Any) -> Any:
-    """Drive ``coro`` to completion from synchronous code.
-
-    When the caller is already inside a running event loop (async code
-    calling the sync facade), the coroutine runs on a private loop on a
-    helper thread instead of deadlocking.
-    """
-    try:
-        asyncio.get_running_loop()
-    except RuntimeError:
-        return asyncio.run(coro)
-    box: Dict[str, Any] = {}
-
-    def target() -> None:
-        try:
-            box["result"] = asyncio.run(coro)
-        except BaseException as exc:  # noqa: BLE001 - re-raised below
-            box["error"] = exc
-
-    thread = threading.Thread(target=target, daemon=True)
-    thread.start()
-    thread.join()
-    if "error" in box:
-        raise box["error"]
-    return box.get("result")
-
 
 __all__ = [
     "POOL_UNAVAILABLE",
@@ -1156,6 +989,6 @@ __all__ = [
     "RetryPolicy",
     "Scheduler",
     "TimeoutPolicy",
-    "build_pools",
+    "build_pool",
     "retry_delay_s",
 ]

@@ -2,8 +2,8 @@
 
 :class:`ExperimentService` wraps the runtime's long-lived half: one
 journalled :class:`~repro.runtime.queue.JobQueue`, one
-:class:`~repro.runtime.scheduler.Scheduler` serving on a background
-event loop with warm pools, one segment-backed
+:class:`~repro.runtime.scheduler.Scheduler` dispatching on a background
+thread with a warm pool, one segment-backed
 :class:`~repro.runtime.cache.ResultCache`, and one
 :class:`~repro.runtime.perf.PerfStore` — all rooted under the cache
 dir.  Batches submitted from any thread coalesce by spec hash (both
@@ -21,7 +21,7 @@ one execution and two streamed results).
   connection-close delimited, so ``curl -N`` tails it live;
 * ``GET /v1/status``   — queue/cache/scheduler counters;
 * ``GET /v1/metrics``  — the live metrics plane: Prometheus text
-  exposition (queue depth, per-shard in-flight, retry/steal/timeout
+  exposition (queue depth, per-pool in-flight, retry/timeout/crash
   counters, cache hit ratio, events/sec EWMA, store gauges);
 * ``POST /v1/shutdown`` — drain and stop.
 
@@ -151,9 +151,12 @@ class _Batch:
         default_factory=_EventQueue
     )
     outcomes: Dict[str, int] = field(default_factory=dict)
+    #: Job events counted into ``outcomes`` (the callback that counts
+    #: the last one closes the batch-root lifecycle span).
+    counted: int = 0
+    #: Job events enqueued on ``events``; ``done`` turns true under the
+    #: service lock together with the last enqueue.
     finished: int = 0
-    #: Guard so the batch-root lifecycle span is recorded exactly once.
-    root_recorded: bool = False
 
     @property
     def total(self) -> int:
@@ -178,8 +181,8 @@ class ExperimentService:
     """The long-lived runtime: journalled queue + warm scheduler.
 
     Thread model: HTTP handler threads call :meth:`submit_batch` /
-    :meth:`stream_batch` / :meth:`status`; the scheduler owns a private
-    event loop on a background thread; the queue mediates (it is the
+    :meth:`stream_batch` / :meth:`status`; the scheduler's dispatcher
+    loop runs on a background thread; the queue mediates (it is the
     only structure both sides touch, and it locks internally).  The
     result cache is touched only from the scheduler side.
     """
@@ -218,11 +221,9 @@ class ExperimentService:
             cache=self.cache,
             perf_store=self.perf_store,
         )
-        self.scheduler.worker_cache_check = True
         self.scheduler.recorder = self.recorder
         self.scheduler.flight_dir = self.cache_dir / "flight"
         self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
         self._lock = threading.Lock()
         self._batches: Dict[str, _Batch] = {}
         self._batch_seq = 0
@@ -231,25 +232,15 @@ class ExperimentService:
     # -- lifecycle --------------------------------------------------
 
     def start(self) -> "ExperimentService":
-        """Spin up the scheduler loop; returns self once it serves."""
+        """Start the scheduler's dispatcher thread; returns self."""
         if self._thread is not None:
             return self
-
-        def _serve() -> None:
-            import asyncio
-
-            async def _main() -> None:
-                self._started.set()
-                await self.scheduler.serve(self.queue)
-
-            asyncio.run(_main())
-
         self._started_t = clock.now()
         self._thread = threading.Thread(
-            target=_serve, name="repro-service", daemon=True
+            target=self.scheduler.serve, args=(self.queue,),
+            name="repro-service", daemon=True,
         )
         self._thread.start()
-        self._started.wait(timeout=10.0)
         return self
 
     def stop(self) -> None:
@@ -323,7 +314,7 @@ class ExperimentService:
             callback = self._make_callback(batch, index, fresh)
             if not self.queue.subscribe(job, callback):
                 callback(job)  # already terminal: emit immediately
-        self.scheduler.kick_threadsafe()
+        self.scheduler.kick()
         summary = batch.describe()
         summary.update({"submitted": len(specs), "fresh": fresh_count,
                         "coalesced": len(specs) - fresh_count})
@@ -360,20 +351,22 @@ class ExperimentService:
                 except Exception:
                     event["result"] = None
             with self._lock:
-                batch.finished += 1
                 batch.outcomes[outcome] = batch.outcomes.get(outcome, 0) + 1
-                record_root = batch.done and not batch.root_recorded
-                if record_root:
-                    batch.root_recorded = True
+                batch.counted += 1
+                record_root = batch.counted == batch.total
             # Close the root span and flush telemetry *before* the
-            # event that lets stream waiters observe completion, so a
-            # status()/scrape racing the last callback sees them.
+            # batch turns done, so a status()/scrape racing the last
+            # callback sees them.
             if record_root:
                 self._record_batch_root(batch)
                 # One durable store-telemetry snapshot per batch, same
                 # as the batch runtime's run_batch() path.
                 self.scheduler.flush_telemetry(self.queue)
-            batch.events.put(event)
+            # Enqueue and count in one critical section: a stream that
+            # sees ``done`` under the lock also sees every event queued.
+            with self._lock:
+                batch.events.put(event)
+                batch.finished += 1
 
         return _on_done
 
@@ -488,7 +481,6 @@ class ExperimentService:
                 "entries": stats.entries,
                 "total_bytes": stats.total_bytes,
                 "segments": stats.segments,
-                "legacy_entries": stats.legacy_entries,
                 **self.cache.telemetry.to_dict(),
             },
             "cache_telemetry": {
@@ -506,8 +498,8 @@ class ExperimentService:
     def metrics_text(self) -> str:
         """The Prometheus exposition document for ``GET /v1/metrics``.
 
-        Series: queue lifetime counters and depth, per-shard in-flight
-        gauges, the scheduler's retry/steal/timeout/cache counters,
+        Series: queue lifetime counters and depth, per-pool in-flight
+        gauges, the scheduler's retry/timeout/crash/cache counters,
         result-store telemetry with a derived hit ratio, store size
         gauges, the events/sec EWMA, and recorder/batch totals.
         """

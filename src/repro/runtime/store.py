@@ -53,7 +53,6 @@ class StoreTelemetry:
     misses: int = 0
     appends: int = 0
     evictions: int = 0
-    migrated: int = 0
 
     def to_dict(self) -> Dict[str, int]:
         return {
@@ -61,7 +60,6 @@ class StoreTelemetry:
             "misses": self.misses,
             "appends": self.appends,
             "evictions": self.evictions,
-            "migrated": self.migrated,
         }
 
 

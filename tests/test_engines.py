@@ -5,8 +5,9 @@ shows it picked up — without any further edits — by CLI ``--engine``
 validation, RunSpec cache-key labelling, the CHK243 verify gate, and
 the CHK5xx agreement-spec enumeration.  The rest covers the registry
 itself, the canonical capability/protocol errors that replaced the
-three drifting interferer guards, and the registry-derived legacy
-views in ``repro.experiments.protocols``.
+three drifting interferer guards, and the registry lookups
+(``engine_names``, ``get_engine(name).protocols``) that give each
+engine's protocol set.
 """
 
 import dataclasses
@@ -176,21 +177,18 @@ class TestBuildProtocolErrors:
 
 class TestDerivedLegacyViews:
     def test_views_derive_from_registrations(self):
-        from repro.experiments import protocols as mod
+        from repro.experiments.protocols import PROTOCOLS
 
-        assert mod.PACKET_PROTOCOLS == engines.get_engine("packet").protocols
-        assert mod.FLOW_PROTOCOLS == engines.get_engine("flow").protocols
-        assert set(mod.ENGINES) == set(engines.engine_names())
-        assert mod.ENGINE_PROTOCOLS == {
-            name: eng.protocols
-            for name, eng in engines.registered_engines().items()
-        }
+        assert engines.get_engine("fluid").protocols == PROTOCOLS
+        assert set(engines.engine_names()) >= {"fluid", "packet", "flow"}
+        assert set(engines.registered_engines()) == set(engines.engine_names())
+        for name in ("packet", "flow"):
+            assert set(engines.get_engine(name).protocols) <= set(PROTOCOLS)
 
     def test_views_are_live(self, dummy_engine):
-        from repro.experiments import protocols as mod
-
-        assert "dummy" in mod.ENGINES
-        assert mod.ENGINE_PROTOCOLS["dummy"] == ("emptcp", "tcp-wifi")
+        assert "dummy" in engines.engine_names()
+        assert engines.registered_engines()["dummy"].protocols == (
+            "emptcp", "tcp-wifi")
 
 
 class TestDummyEngineForFree:

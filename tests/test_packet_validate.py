@@ -100,14 +100,6 @@ class TestOnOffAgreement:
             assert 0.9 < c.ratio < 1.1, c.label
 
 
-class TestRemovedShim:
-    def test_old_import_path_raises_with_pointer(self):
-        """repro.packet.validate spent one release as a deprecation
-        shim; it now fails fast, pointing at repro.check.packet."""
-        with pytest.raises(ImportError, match="repro.check.packet"):
-            import repro.packet.validate  # noqa: F401
-
-
 class TestEngineAgreementGolden:
     def test_agreement_report_matches_golden(self, test_data_dir):
         """The unified-runner agreement table (what `repro.cli validate`

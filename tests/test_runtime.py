@@ -7,6 +7,7 @@ retry/failure bookkeeping) do not depend on scale.
 
 import io
 import json
+import os
 import signal
 import time
 
@@ -143,11 +144,6 @@ class TestResultCache:
         for segment in cache.store.segment_paths():
             segment.write_text("{not json\n")
         assert cache.get(spec) is None
-        # A corrupt legacy-generation blob is equally just a miss.
-        legacy = ResultCache(tmp_path / "legacy")
-        legacy.results_dir.mkdir(parents=True)
-        legacy.path_for(spec).write_text("{not json")
-        assert legacy.get(spec) is None
 
     def test_salt_mismatch_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -157,14 +153,6 @@ class TestResultCache:
         payload["salt"] = "repro-0.0.0/runtime-0"
         cache.store.put(spec.content_hash(), payload)  # newest entry wins
         assert cache.get(spec) is None
-        # Legacy generation: a stale-salt blob is a miss and must NOT
-        # be migrated into the segment store.
-        legacy = ResultCache(tmp_path / "legacy")
-        legacy.results_dir.mkdir(parents=True)
-        legacy.path_for(spec).write_text(json.dumps(payload))
-        assert legacy.get(spec) is None
-        assert legacy.path_for(spec).exists()
-        assert legacy.store.entry_count() == 0
 
     def test_stats_and_clear(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -310,6 +298,57 @@ class TestRunMany:
                 )
         outcomes = [e.outcome for e in RunManifest.read(manifest_path)]
         assert outcomes == ["retried", "failed"]
+
+    @pytest.mark.skipif(
+        not hasattr(signal, "SIGALRM"), reason="needs SIGALRM timeouts"
+    )
+    def test_pool_timeout_is_retried_then_failed(
+        self, tmp_path, scratch_builder
+    ):
+        def sleepy(spec):
+            time.sleep(5.0)
+
+        scratch_builder("sleepy-pool-test", sleepy)
+        specs = [RunSpec("emptcp", "sleepy-pool-test", seed=s) for s in (0, 1)]
+        manifest_path = tmp_path / "run.jsonl"
+        with RunManifest(manifest_path) as manifest:
+            with pytest.raises(ExecutionError, match="timeout"):
+                run_many(specs, jobs=2, manifest=manifest, timeout_s=0.05,
+                         retries=1, backoff_s=0.0)
+        entries = RunManifest.read(manifest_path)
+        for spec in specs:
+            outcomes = [e.outcome for e in entries
+                        if e.spec_hash == spec.content_hash()]
+            assert outcomes == ["retried", "failed"]
+        assert {e.worker for e in entries} == {"pool-0"}
+
+    def test_worker_crash_is_retried_on_a_rebuilt_pool(
+        self, tmp_path, scratch_builder
+    ):
+        def crash_once(spec):
+            marker = spec.kwargs.get("marker")
+            if marker and not os.path.exists(marker):
+                open(marker, "w").close()
+                os._exit(1)  # kill the pool worker mid-job
+            return spec.seed
+
+        scratch_builder("crash-once-test", crash_once,
+                        encode=lambda value: {"value": value},
+                        decode=lambda doc: doc["value"])
+        crashing = RunSpec("emptcp", "crash-once-test",
+                           {"marker": str(tmp_path / "crashed")}, seed=0)
+        healthy = RunSpec("emptcp", "crash-once-test", seed=1)
+        manifest_path = tmp_path / "run.jsonl"
+        with RunManifest(manifest_path) as manifest:
+            results = run_many([crashing, healthy], jobs=2,
+                               manifest=manifest, retries=2, backoff_s=0.0)
+        assert results == [0, 1]
+        entries = RunManifest.read(manifest_path)
+        outcomes = [e.outcome for e in entries
+                    if e.spec_hash == crashing.content_hash()]
+        assert outcomes == ["retried", "executed"]
+        assert all(e.worker.startswith("pid-")
+                   for e in entries if e.outcome == "executed")
 
     def test_jobs_must_be_positive(self):
         with pytest.raises(ConfigurationError):

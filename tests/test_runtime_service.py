@@ -5,6 +5,7 @@ across concurrent batches, and the stdlib HTTP/JSONL front-end
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -115,6 +116,29 @@ class TestServiceInProcess:
         assert settled == 4  # every batch's waiter observed the outcome
         assert service.queue.stats.submitted == 1
         assert service.queue.stats.deduped == 3
+
+
+class TestStreamCompleteness:
+    def test_stream_ends_only_after_the_last_job_event(
+        self, service, monkeypatch
+    ):
+        """The batch turns done in the same step that queues its last
+        job event, so one read of the stream carries every event even
+        when the root span and telemetry flush before it are slow."""
+        flush = service.scheduler.flush_telemetry
+
+        def slow_flush(queue):
+            time.sleep(0.3)
+            flush(queue)
+
+        monkeypatch.setattr(service.scheduler, "flush_telemetry", slow_flush)
+        summary = service.submit_batch(
+            [small_spec(seed=s).to_dict() for s in range(2)]
+        )
+        events = list(service.stream_batch(summary["batch"]))
+        jobs = [e for e in events if e["event"] == "job"]
+        assert events[-1]["event"] == "summary"
+        assert len(jobs) == events[-1]["total"] == 2
 
 
 class TestHTTPService:

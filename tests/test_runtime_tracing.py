@@ -1,8 +1,8 @@
 """End-to-end distributed tracing through the execution runtime:
 run_many batches emit one reassemblable span tree, run exports are
-stamped, manifests carry the trace identity, the inline jobs<=1 fast
-path emits the same topology as the asyncio drain, and the scheduler's
-metrics/flight-recorder planes populate.
+stamped, manifests carry the trace identity, the in-process pool
+(jobs=1) emits the same topology as the process pool, and the
+scheduler's metrics/flight-recorder planes populate.
 """
 
 import json
@@ -124,17 +124,16 @@ class TestRunManyTracing:
         assert entry.trace_id == "" and entry.span_id == ""
 
 
-def _drive_batch(tmp_path, name, offload_inline, specs):
+def _drive_batch(tmp_path, name, jobs, specs):
     """One batch through Scheduler.run_batch with tracing attached."""
     obs_dir = tmp_path / name / "obs"
     manifest_path = tmp_path / name / "run.jsonl"
     hashes = [spec.content_hash() for spec in specs]
     root_ctx = dist.root_context(hashes)
     scheduler = Scheduler(
-        jobs=1,
+        jobs=jobs,
         retry=RetryPolicy(retries=0),
         timeout=TimeoutPolicy(None),
-        offload_inline=offload_inline,
     )
     scheduler.recorder = dist.SpanRecorder(sink_dir=obs_dir)
     scheduler.flight_dir = tmp_path / name / "flight"
@@ -165,54 +164,56 @@ def _drive_batch(tmp_path, name, offload_inline, specs):
 
 
 class TestInlineAsyncParity:
-    """The jobs<=1 inline fast path must emit the same lifecycle spans
-    and manifest trace fields as the asyncio drain (satellite: span
-    parity between scheduler paths)."""
+    """A batch run on the in-process pool (jobs=1) must emit the same
+    lifecycle spans and manifest trace fields as one run on the process
+    pool (jobs=2)."""
 
     def test_span_topology_is_identical(self, tmp_path):
         specs = [small_spec(seed=s) for s in range(2)]
         _, inline_dir, inline_manifest = _drive_batch(
-            tmp_path, "inline", False, specs)
-        _, async_dir, async_manifest = _drive_batch(
-            tmp_path, "async", True, specs)
+            tmp_path, "inline", 1, specs)
+        _, pool_dir, pool_manifest = _drive_batch(
+            tmp_path, "pool", 2, specs)
 
         inline_spans = dist.load_spans(inline_dir)
-        async_spans = dist.load_spans(async_dir)
+        pool_spans = dist.load_spans(pool_dir)
         # Deterministic IDs: same specs -> same trace, same span ids,
-        # regardless of which drain executed them.
-        assert set(inline_spans) == set(async_spans)
+        # regardless of which pool executed them.
+        assert set(inline_spans) == set(pool_spans)
         for trace_id in inline_spans:
             inline_trace = inline_spans[trace_id]
-            async_trace = async_spans[trace_id]
-            assert set(inline_trace) == set(async_trace)
+            pool_trace = pool_spans[trace_id]
+            assert set(inline_trace) == set(pool_trace)
             for span_id, span in inline_trace.items():
-                other = async_trace[span_id]
+                other = pool_trace[span_id]
                 assert span.name == other.name
                 assert span.parent_span_id == other.parent_span_id
                 assert span.status == other.status
 
         inline_entries = RunManifest.read(inline_manifest)
-        async_entries = RunManifest.read(async_manifest)
+        pool_entries = RunManifest.read(pool_manifest)
+        assert {e.worker for e in inline_entries} == {"local"}
+        assert all(e.worker.startswith("pid-") for e in pool_entries)
         assert (
             sorted((e.spec_hash, e.trace_id, e.span_id, e.outcome)
                    for e in inline_entries)
             == sorted((e.spec_hash, e.trace_id, e.span_id, e.outcome)
-                      for e in async_entries)
+                      for e in pool_entries)
         )
 
     def test_both_paths_pass_chk7xx(self, tmp_path):
-        specs = [small_spec()]
-        for name, offload in (("inline", False), ("async", True)):
-            _, obs_dir, _ = _drive_batch(tmp_path, name, offload, specs)
+        specs = [small_spec(seed=s) for s in range(2)]
+        for name, jobs in (("inline", 1), ("pool", 2)):
+            _, obs_dir, _ = _drive_batch(tmp_path, name, jobs, specs)
             report = check_trace_topology(obs_dir)
             assert report.ok, f"{name}: {report.format()}"
 
     def test_both_paths_count_metrics(self, tmp_path):
-        specs = [small_spec(seed=9)]
-        for name, offload in (("inline2", False), ("async2", True)):
-            scheduler, _, _ = _drive_batch(tmp_path, name, offload, specs)
+        specs = [small_spec(seed=s) for s in (9, 10)]
+        for name, jobs in (("inline2", 1), ("pool2", 2)):
+            scheduler, _, _ = _drive_batch(tmp_path, name, jobs, specs)
             counters = scheduler.metrics.to_dict()["counters"]
-            assert counters["scheduler.jobs_done"] == 1
+            assert counters["scheduler.jobs_done"] == 2
             assert counters["scheduler.jobs_failed"] == 0
             assert scheduler.inflight == {} or all(
                 v == 0 for v in scheduler.inflight.values())
@@ -227,7 +228,7 @@ class TestFailurePlane:
 
         scratch_builder("trace-boom", boom)
         specs = [RunSpec("emptcp", "trace-boom")]
-        scheduler, obs_dir, _ = _drive_batch(tmp_path, "fail", False, specs)
+        scheduler, obs_dir, _ = _drive_batch(tmp_path, "fail", 1, specs)
 
         trace = next(iter(dist.load_spans(obs_dir).values()))
         job_spans = [s for s in trace.values() if s.name == "job"]
@@ -246,5 +247,5 @@ class TestFailurePlane:
 
     def test_ewma_tracks_events_per_sec(self, tmp_path):
         scheduler, _, _ = _drive_batch(
-            tmp_path, "ewma", False, [small_spec()])
+            tmp_path, "ewma", 1, [small_spec()])
         assert scheduler.events_ewma is None or scheduler.events_ewma > 0
