@@ -42,17 +42,14 @@ packet-smoke:  ## emptcp end-to-end on the packet engine, traced + cached
 	PYTHONPATH=src $(PY) -m repro.cli validate --size-mb 2 --no-progress
 	rm -rf .packet-smoke
 
-perf-smoke:  ## tiny bench record, self-compare (0 regressions), profiler table
-	rm -rf .perf-smoke && mkdir -p .perf-smoke
-	PYTHONPATH=src $(PY) -m repro.cli perf record --size-mb 2 --runs 2 \
-		--output .perf-smoke/bench.json 2> /dev/null
-	PYTHONPATH=src $(PY) -m repro.cli check perf .perf-smoke/bench.json
-	PYTHONPATH=src $(PY) -m repro.cli perf compare \
-		.perf-smoke/bench.json .perf-smoke/bench.json
+perf-smoke:  ## profiler table, profiler-overhead A/B, CHK6xx over a profiled run
+	rm -rf .perf-smoke
 	PYTHONPATH=src $(PY) -m repro.cli perf profile emptcp good --size-mb 2
-	PYTHONPATH=src $(PY) -c "from repro.runtime.bench import \
-		format_overhead, profiling_overhead; \
-		print(format_overhead(profiling_overhead(4.0)))"
+	PYTHONPATH=src $(PY) tests/perf_overhead.py --size-mb 4
+	PYTHONPATH=src $(PY) -m repro.cli run emptcp good --runs 1 --size-mb 2 \
+		--profile --cache-dir .perf-smoke \
+		--manifest .perf-smoke/last-run.jsonl --no-progress > /dev/null
+	PYTHONPATH=src $(PY) -m repro.cli check perf --cache-dir .perf-smoke
 	rm -rf .perf-smoke
 
 fleet-smoke:  ## 1k-session flow-tier fleet under a time budget, obs-sampled

@@ -26,7 +26,7 @@ Three tiers, one vocabulary (:class:`Finding` / :class:`Report`):
 :mod:`repro.check.packet` (CHK5xx) folds the fluid-vs-packet model
 validation into the same vocabulary, :mod:`repro.check.flow` does the
 same for the analytic flow tier (CHK504/CHK505), and :mod:`repro.check.perf`
-(CHK6xx) verifies perf telemetry — bench/perf record schema and
+(CHK6xx) verifies perf telemetry — manifest perf-record schema and
 consistency, span-tree well-formedness, and parent/child time
 conservation.  :mod:`repro.check.disttrace` (CHK7xx) validates
 distributed-trace topology over the lifecycle-span exports: every run
@@ -82,7 +82,7 @@ from repro.check.flow import (
 )
 from repro.check.lint import lint_paths, lint_source
 from repro.check.perf import (
-    check_bench_doc,
+    check_manifest_perf,
     check_perf_record,
     check_perf_target,
     check_spans,
@@ -127,7 +127,7 @@ __all__ = [
     "flow_agreement_specs",
     "run_flow_agreement",
     "run_flow_checks",
-    "check_bench_doc",
+    "check_manifest_perf",
     "check_perf_record",
     "check_perf_target",
     "check_spans",

@@ -76,8 +76,9 @@ DETERMINISTIC_MODULES = (
 )
 
 #: The blessed wall-clock boundary.  Values returned by these modules
-#: are journaled/replayable instants, so wall-clock taint is laundered
-#: at the call edge instead of propagating into the callers above.
+#: are recorded timestamps and wall times, so wall-clock taint is
+#: laundered at the call edge instead of propagating into the callers
+#: above.
 CLOCK_SEAM_MODULES = frozenset({"repro.runtime.clock"})
 
 #: Modules exempt from REP201: ``repro.units`` is *the* blessed
@@ -891,9 +892,9 @@ class FunctionInterp(ast.NodeVisitor):
         info = self.ctx.resolver.project[target]
         summary = self.ctx.summaries.get(target) or seed_params(info, self.ctx)
         if info.module in CLOCK_SEAM_MODULES and summary.returns.taint:
-            # The clock seam owns its wall-clock reads: replay swaps in
-            # recorded instants, so what it returns is deterministic
-            # from the caller's point of view.
+            # The clock seam owns its wall-clock reads: its instants
+            # are timestamps and wall times the runtime records, never
+            # simulation inputs, so the taint stops at the call edge.
             cleaned = frozenset(
                 pair for pair in summary.returns.taint if pair[0] != WALLCLOCK
             )

@@ -3,11 +3,11 @@
 Validates the two artefacts :mod:`repro.obs.prof` and
 :mod:`repro.runtime.perf` produce:
 
-* **CHK601** — a perf/bench record is schema-complete and internally
-  consistent: required keys present, counters non-negative, and the
-  claimed throughput matches ``events / wall_s`` (bench records keep
-  the best repeat wholesale, so the identity holds exactly up to
-  float noise).
+* **CHK601** — the perf record on each executed run-manifest line is
+  schema-complete and internally consistent: required keys present,
+  counters non-negative, and the claimed throughput matches
+  ``events / wall_s`` (the record is computed from one measured run,
+  so the identity holds exactly up to float noise).
 * **CHK602** — a span export is a well-formed tree: every non-root
   path has its parent in the export, counts are positive, totals
   non-negative, and depth agrees with the path.
@@ -25,9 +25,11 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Union
 
 from repro.check.findings import Report, Severity
+from repro.errors import ConfigurationError
 from repro.obs.prof import PATH_SEP
+from repro.runtime.manifest import RunManifest
 
-#: Required keys of a PerfRecord dict (bench records add key/repeats).
+#: Required keys of a PerfRecord dict.
 PERF_RECORD_KEYS = (
     "spec_hash",
     "engine",
@@ -53,9 +55,9 @@ def check_perf_record(
     report: Report,
     where: str = "",
 ) -> None:
-    """CHK601 over one perf/bench record dict."""
+    """CHK601 over one perf record dict."""
     report.checked += 1
-    context = where or str(record.get("label") or record.get("key") or "")
+    context = where or str(record.get("label") or "")
     missing = [key for key in PERF_RECORD_KEYS if key not in record]
     if missing:
         report.add(
@@ -94,19 +96,6 @@ def check_perf_record(
                 f"events/wall_s = {expected:.2f}",
                 context=context,
             )
-
-
-def check_bench_doc(doc: Mapping[str, Any]) -> Report:
-    """CHK601 over every record of a bench document."""
-    report = Report(tier="perf")
-    records = doc.get("records")
-    if not isinstance(records, list):
-        report.checked += 1
-        report.add("CHK601", "bench document has no 'records' list")
-        return report
-    for record in records:
-        check_perf_record(record, report)
-    return report
 
 
 def check_spans(profile: Mapping[str, Any], where: str = "") -> Report:
@@ -180,19 +169,17 @@ def check_spans(profile: Mapping[str, Any], where: str = "") -> Report:
 
 
 def check_perf_target(target: Union[str, Path]) -> Report:
-    """CLI entry: CHK6xx over a bench JSON, a ``*.spans.json`` export,
-    or every such file under a directory."""
+    """CLI entry: CHK602/603 over a ``*.spans.json`` export (or every
+    one under a directory), CHK601 over a JSONL run manifest."""
     path = Path(target)
     report = Report(tier="perf")
     if path.is_dir():
-        files = sorted(
-            list(path.glob("BENCH_*.json")) + list(path.glob("*.spans.json"))
-        )
+        files = sorted(path.glob("*.spans.json"))
         if not files:
             report.checked += 1
             report.add(
                 "CHK601",
-                f"no BENCH_*.json or *.spans.json under {path}",
+                f"no *.spans.json under {path}",
                 severity=Severity.WARNING,
             )
             return report
@@ -201,24 +188,39 @@ def check_perf_target(target: Union[str, Path]) -> Report:
             report.extend(sub.findings)
             report.checked += sub.checked
         return report
+    if not path.name.endswith(".spans.json"):
+        return check_manifest_perf(path)
     try:
         doc = json.loads(path.read_text())
     except (OSError, ValueError) as exc:
         report.checked += 1
         report.add("CHK601", f"cannot parse {path}: {exc}", path=str(path))
         return report
-    if "spans" in doc:
-        sub = check_spans(doc, where=path.name)
-    else:
-        sub = check_bench_doc(doc)
+    sub = check_spans(doc, where=path.name)
     report.extend(sub.findings)
     report.checked += sub.checked
     return report
 
 
+def check_manifest_perf(path: Union[str, Path]) -> Report:
+    """CHK601 over the perf record of every manifest line that has one
+    (cached runs carry none)."""
+    report = Report(tier="perf")
+    try:
+        entries = RunManifest.read(path)
+    except ConfigurationError as exc:
+        report.checked += 1
+        report.add("CHK601", f"{path}: {exc}", path=str(path))
+        return report
+    for entry in entries:
+        if entry.perf is not None:
+            check_perf_record(entry.perf, report, where=entry.label)
+    return report
+
+
 __all__ = [
     "PERF_RECORD_KEYS",
-    "check_bench_doc",
+    "check_manifest_perf",
     "check_perf_record",
     "check_perf_target",
     "check_spans",

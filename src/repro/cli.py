@@ -43,7 +43,6 @@ from repro.obs.summarize import (
 from repro.runtime.cache import ResultCache
 from repro.runtime.executor import use_runtime
 from repro.runtime.manifest import RunManifest, format_summary, summarize
-from repro.runtime.perf import PerfStore
 from repro.runtime.progress import auto_reporter
 from repro.units import mib
 
@@ -331,10 +330,10 @@ def _cmd_cache(args) -> int:
         print(f"size:       {stats.total_bytes / 1e6:.2f} MB")
         print(f"segments:   {stats.segments}")
         # Durable per-batch store telemetry (one snapshot per batch,
-        # appended to <cache>/perf/cache-telemetry.jsonl by the
-        # scheduler); the live counters die with each process, so this
-        # is the only place cache behaviour over time is visible.
-        snapshots = PerfStore(Path(args.cache_dir) / "perf").cache_telemetry()
+        # appended by the scheduler); the live counters die with each
+        # process, so this is the only place cache behaviour over time
+        # is visible.
+        snapshots = cache.telemetry_snapshots()
         if snapshots:
             last = snapshots[-1]
             hits = int(last.get("hits", 0))
@@ -348,7 +347,7 @@ def _cmd_cache(args) -> int:
                   f"{int(last.get('evictions', 0))} eviction(s)")
         else:
             print("telemetry:  no batch snapshots yet "
-                  "(each batch appends one to perf/cache-telemetry.jsonl)")
+                  "(each cached batch appends one)")
         return 0
     if sub == "clear":
         removed = cache.clear()
@@ -545,7 +544,7 @@ def _cmd_trace(args) -> int:
 
 
 def _perf_size_mb(args) -> float:
-    """Benchmarks default to a small transfer; the CLI-wide 32 MiB
+    """Profiles default to a small transfer; the CLI-wide 32 MiB
     default is sized for figure regeneration."""
     return args.size_mb if args.size_mb != 32.0 else 4.0
 
@@ -591,78 +590,13 @@ def _perf_profile(args) -> int:
     return 0
 
 
-def _perf_record(args) -> int:
-    from repro.check.perf import check_bench_doc
-    from repro.runtime import bench as bn
-
-    doc = bn.run_bench(
-        size_mb=_perf_size_mb(args),
-        repeats=args.runs,
-        progress=lambda line: print(line, file=sys.stderr),
-    )
-    print(bn.format_bench_table(doc))
-    report = check_bench_doc(doc)
-    if not report.ok:
-        print(report.format(), file=sys.stderr)
-        return 1
-    if args.output:
-        path = Path(args.output)
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    else:
-        path = bn.write_bench(doc, ".")
-    print(f"bench record written to {path}")
-    return 0
-
-
-def _perf_compare(args) -> int:
-    from repro.runtime import bench as bn
-
-    if not args.target or not args.extra:
-        print("usage: repro perf compare <baseline.json> <current.json>",
+def _cmd_perf(args) -> int:
+    sub = args.subcommand or "profile"
+    if sub != "profile":
+        print(f"unknown perf subcommand {sub!r}; choose profile",
               file=sys.stderr)
         return 2
-    baseline = bn.read_bench(args.target)
-    current = bn.read_bench(args.extra[0])
-    comparison = bn.compare_bench(baseline, current, threshold=args.threshold)
-    print(bn.format_comparison(comparison))
-    return 0 if comparison.ok else 1
-
-
-def _perf_check(args) -> int:
-    """Re-run the bench suite and compare against a baseline record
-    (``--baseline``, or the newest ``BENCH_*.json`` at the repo root)."""
-    from repro.runtime import bench as bn
-
-    baseline_path = args.baseline or bn.latest_bench(".")
-    if baseline_path is None:
-        print("error: no baseline bench record; run `repro perf record` "
-              "first or pass --baseline", file=sys.stderr)
-        return 2
-    baseline = bn.read_bench(baseline_path)
-    doc = bn.run_bench(
-        size_mb=float(baseline.get("size_mb", _perf_size_mb(args))),
-        repeats=args.runs,
-        progress=lambda line: print(line, file=sys.stderr),
-    )
-    comparison = bn.compare_bench(baseline, doc, threshold=args.threshold)
-    print(f"baseline: {baseline_path}")
-    print(bn.format_comparison(comparison))
-    return 0 if comparison.ok else 1
-
-
-def _cmd_perf(args) -> int:
-    sub = args.subcommand or "record"
-    handlers = {
-        "profile": _perf_profile,
-        "record": _perf_record,
-        "compare": _perf_compare,
-        "check": _perf_check,
-    }
-    if sub not in handlers:
-        print(f"unknown perf subcommand {sub!r}; choose profile, record, "
-              f"compare, or check", file=sys.stderr)
-        return 2
-    return handlers[sub](args)
+    return _perf_profile(args)
 
 
 def _check_cache(args, tier: str):
@@ -790,17 +724,17 @@ def _cmd_check(args) -> int:
         if args.target and sub == "perf":
             targets = [Path(args.target)]
         else:
-            # Default sweep: bench records at the repo root plus span
+            # Default sweep: the last report's manifest plus span
             # exports under the obs dir (skipped silently in `all`
             # when neither exists yet).
-            obs_dir = Path(args.cache_dir) / "obs"
-            targets = sorted(Path(".").glob("BENCH_*.json"))
-            if obs_dir.is_dir():
-                targets += sorted(obs_dir.glob("*.spans.json"))
+            cache_dir = Path(args.cache_dir)
+            manifest = cache_dir / "last-run.jsonl"
+            targets = [manifest] if manifest.is_file() else []
+            targets += sorted((cache_dir / "obs").glob("*.spans.json"))
         if not targets and sub == "perf":
-            print("error: no BENCH_*.json at the repo root and no "
-                  "*.spans.json under the obs dir; run `repro perf record` "
-                  "or pass a file/directory", file=sys.stderr)
+            print("error: no last-run.jsonl and no *.spans.json under the "
+                  "cache dir; run with --profile or pass a file/directory",
+                  file=sys.stderr)
             return 2
         if targets:
             from repro.check.findings import merge_reports
@@ -992,7 +926,7 @@ _COMMANDS = {
     "cache": (_cmd_cache, "inspect (stats) or empty (clear) the result cache"),
     "trace": (_cmd_trace, "summarize, validate, timeline, or tree exported traces"),
     "check": (_cmd_check, "static lint / config / trace / perf-invariant checks"),
-    "perf": (_cmd_perf, "profile hot paths; record/compare perf benchmarks"),
+    "perf": (_cmd_perf, "profile one run's hot paths (perf profile)"),
     "run": (_cmd_run, "run one protocol on good|bad WiFi (--engine fluid|packet|flow)"),
     "service": (_cmd_service, "HTTP experiment service "
                               "(serve [port] | top)"),
@@ -1037,8 +971,8 @@ def main(argv: Optional[List[str]] = None) -> int:
              "trace subcommand: summarize (default), validate, timeline, "
              "or tree; "
              "check subcommand: lint, dataflow, config, trace, determinism, perf, "
-             "or all (default); perf subcommand: profile, record (default), "
-             "compare, or check; service subcommand: serve (default) or "
+             "or all (default); perf subcommand: profile (default); "
+             "service subcommand: serve (default) or "
              "top; run: the protocol (default emptcp)",
     )
     parser.add_argument(
@@ -1048,14 +982,13 @@ def main(argv: Optional[List[str]] = None) -> int:
              "(check lint; default: src/repro), the WiFi quality "
              "good|bad (run command; default good), the protocol "
              "(perf profile; default emptcp), the TCP port (service "
-             "serve; default: ephemeral), the host:port to poll "
-             "(service top), or the baseline bench record (perf compare)",
+             "serve; default: ephemeral), or the host:port to poll "
+             "(service top)",
     )
     parser.add_argument(
         "extra", nargs="*", default=[],
         help="remaining positionals: the WiFi quality good|bad "
-             "(perf profile), the current bench record (perf compare), "
-             "or a trace-id prefix filter (trace tree)",
+             "(perf profile) or a trace-id prefix filter (trace tree)",
     )
     parser.add_argument(
         "--engine", default="fluid",
@@ -1102,11 +1035,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--timeout", type=float, default=None,
         help="per-run wall-clock limit in seconds (parallel runs)",
-    )
-    parser.add_argument(
-        "--threshold", type=float, default=0.10,
-        help="events/sec drop treated as a regression "
-             "(perf compare/check; fraction, default 0.10)",
     )
     parser.add_argument(
         "--trace", action="store_true", default=False,
@@ -1217,7 +1145,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             progress=auto_reporter(show_progress),
             timeout_s=args.timeout,
             obs=obs_options,
-            perf_store=PerfStore(Path(cache_dir) / "perf"),
         ):
             status = handler(args)
     except BrokenPipeError:  # piped into `head` etc.

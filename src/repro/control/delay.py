@@ -22,10 +22,8 @@ subflow to exit slow start and produce φ throughput samples —
 :func:`minimum_tau` implements it.
 
 All triggers and queries go through a
-:class:`~repro.control.port.DataPlanePort`, so the same class serves
-the fluid and packet engines (the historical fluid-only entry point,
-:class:`repro.core.delay.DelayedSubflowEstablishment`, is now a thin
-adapter over this one).
+:class:`~repro.control.port.DelayPort`, so the same class serves the
+fluid and packet engines.
 """
 
 from __future__ import annotations

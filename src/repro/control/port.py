@@ -62,8 +62,8 @@ class SubflowLike(Protocol):
 class DelayPort(Protocol):
     """The port subset §3.5 delayed establishment consumes.
 
-    :class:`DataPlanePort` is a superset; the fluid compatibility
-    adapter in :mod:`repro.core.delay` implements only this slice.
+    :class:`DataPlanePort` is a superset; a port driving delayed
+    establishment alone need implement only this slice.
     """
 
     def join_cellular(self) -> SubflowLike:

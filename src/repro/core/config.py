@@ -103,7 +103,7 @@ class EMPTCPConfig:
         """Check this config's τ against equation (1)'s lower bound for
         a given WiFi operating point (§3.5: τ must allow slow start to
         finish plus φ throughput samples)."""
-        from repro.core.delay import minimum_tau
+        from repro.control.delay import minimum_tau
 
         return self.tau_seconds >= minimum_tau(
             wifi_bandwidth_bytes_per_sec, wifi_rtt, self.required_samples

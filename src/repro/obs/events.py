@@ -42,7 +42,7 @@ EVENT_SCHEMA: Dict[str, Dict[str, Tuple[type, ...]]] = {
         "sample_mbps": _NUM,
         "forecast_mbps": _NUM,
     },
-    # core.delay — each κ/τ trigger evaluation and its outcome.
+    # control.delay — each κ/τ trigger evaluation and its outcome.
     "delay.trigger": {
         "trigger": _STR,     # "kappa" | "tau"
         "action": _STR,      # "established" | "postponed"

@@ -24,13 +24,12 @@ Supporting cast, unchanged in spirit:
   :class:`RuntimeContext`, :func:`run_many`/:func:`run_specs`;
 * :mod:`repro.runtime.cache` — the content-addressed result cache
   over the segment store;
-* :mod:`repro.runtime.clock` — the journaled wall-clock seam the
+* :mod:`repro.runtime.clock` — the one wall-clock seam the
   determinism checks hold the queue/scheduler/store to;
 * :mod:`repro.runtime.manifest` / :mod:`repro.runtime.progress` —
   JSONL run manifests and live runs/sec + ETA reporting;
-* :mod:`repro.runtime.perf` / :mod:`repro.runtime.bench` — per-run
-  performance records, the content-addressed perf store, and the
-  ``repro perf record/compare`` benchmark suite.
+* :mod:`repro.runtime.perf` — the per-run performance record each
+  manifest line carries.
 
 Typical use::
 
@@ -57,7 +56,7 @@ from repro.runtime.manifest import (
     format_summary,
     summarize,
 )
-from repro.runtime.perf import PerfMeter, PerfRecord, PerfStore
+from repro.runtime.perf import PerfMeter, PerfRecord
 from repro.runtime.progress import ProgressReporter, ProgressSnapshot
 from repro.runtime.queue import Job, JobQueue, QueueStats
 from repro.runtime.scheduler import (
@@ -91,7 +90,6 @@ __all__ = [
     "ManifestEntry",
     "PerfMeter",
     "PerfRecord",
-    "PerfStore",
     "ProgressReporter",
     "ProgressSnapshot",
     "QueueStats",

@@ -12,13 +12,21 @@ any config overrides, and the salt.  Changing any of those — including bumping
 ``RUNTIME_SCHEMA_VERSION`` — misses the cache; stale entries are
 removed with :meth:`ResultCache.clear` (CLI: ``emptcp-repro cache
 clear``) or aged out with :meth:`ResultCache.evict`.
+
+The store's hit/miss/append/eviction counters live only as long as the
+process, so at the end of every batch the scheduler appends one
+snapshot of them to ``<root>/cache-telemetry.jsonl``
+(:meth:`ResultCache.record_telemetry`); ``cache stats`` and the
+service's ``/v1/status`` read the log back through
+:meth:`ResultCache.telemetry_snapshots`.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro import obs as _obs
 from repro.runtime.spec import RunSpec, code_salt, get_builder
@@ -26,6 +34,10 @@ from repro.runtime.store import SegmentStore, StoreTelemetry
 
 #: Default cache location, relative to the working directory.
 DEFAULT_CACHE_ROOT = ".repro-cache"
+
+#: The per-batch telemetry log under the cache root, one JSON object
+#: per line.
+TELEMETRY_LOG = "cache-telemetry.jsonl"
 
 
 @dataclass(frozen=True)
@@ -67,6 +79,31 @@ class ResultCache:
     def telemetry(self) -> StoreTelemetry:
         """Hit/miss/append/eviction counters (this instance's lifetime)."""
         return self.store.telemetry
+
+    def record_telemetry(self, extra: Dict[str, Any]) -> None:
+        """Append one snapshot of :attr:`telemetry` plus ``extra``
+        (the batch's queue counters and timestamp) to the log."""
+        snapshot = {**self.telemetry.to_dict(), **extra}
+        self.root.mkdir(parents=True, exist_ok=True)
+        with open(self.root / TELEMETRY_LOG, "a") as fh:
+            fh.write(json.dumps(snapshot, sort_keys=True) + "\n")
+
+    def telemetry_snapshots(self) -> List[Dict[str, Any]]:
+        """Every recorded batch snapshot, oldest first.  Lines torn by
+        a crash mid-append are skipped."""
+        try:
+            lines = (self.root / TELEMETRY_LOG).read_text().splitlines()
+        except OSError:
+            return []
+        snapshots = []
+        for line in lines:
+            try:
+                doc = json.loads(line)
+            except ValueError:
+                continue
+            if isinstance(doc, dict):
+                snapshots.append(doc)
+        return snapshots
 
     def get(self, spec: RunSpec) -> Optional[Any]:
         """The decoded cached result, or None on any kind of miss."""

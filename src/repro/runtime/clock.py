@@ -1,151 +1,36 @@
-"""The runtime's journaled wall-clock seam.
+"""The runtime's one wall-clock seam.
 
 The queue, scheduler, and store (``repro.runtime.queue`` /
 ``scheduler`` / ``store``) are covered by the determinism checks
 (REP101/REP202): they must not read ``time.*`` directly.  Every
-wall-clock observation they make goes through this module instead, for
-two reasons:
-
-* **journal replay** — the job queue journals each submit/start/done
-  event with the timestamp the clock handed out, so replaying a
-  journal under a :class:`ManualClock` (or a :class:`ReplayClock` fed
-  the journalled instants) reproduces the exact recovery decisions a
-  crashed run would have made; and
-* **checkability** — with exactly one sanctioned entry point, the
-  static tiers can verify the service layer never grows a second,
-  unjournalled clock dependency.
-
-The ambient clock defaults to :class:`SystemClock` and is swapped with
-:func:`use_clock` (tests, replay).  Module-level :func:`now` /
-:func:`monotonic` / :func:`perf` / :func:`sleep` read the ambient
-clock, so production code never names a clock object.
+wall-clock observation they make goes through the three functions
+here instead.  With exactly one sanctioned entry point, the static
+tiers can verify the service layer never grows a second clock
+dependency, and every instant the runtime reads is accounted for:
+journal and lifecycle-span timestamps (:func:`now`), retry pacing and
+deadlines (:func:`monotonic`), and run wall times (:func:`perf`).
+None of them feeds a simulation, so results stay a pure function of
+(spec, seed).
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from contextlib import contextmanager
-from typing import Iterator, List, Sequence
-
-
-class Clock:
-    """Wall-clock access point; the system implementation."""
-
-    def now(self) -> float:
-        """Seconds since the epoch (journal timestamps)."""
-        return time.time()
-
-    def monotonic(self) -> float:
-        """Monotonic seconds (age/eviction arithmetic)."""
-        return time.monotonic()
-
-    def perf(self) -> float:
-        """High-resolution seconds (wall-time measurement)."""
-        return time.perf_counter()
-
-    def sleep(self, seconds: float) -> None:
-        """Block for ``seconds`` (retry backoff)."""
-        if seconds > 0:
-            time.sleep(seconds)
-
-
-#: Alias kept for symmetry with :class:`ManualClock`.
-SystemClock = Clock
-
-
-class ManualClock(Clock):
-    """A clock that only moves when told to — tests and replay."""
-
-    def __init__(self, start_s: float = 0.0):
-        self._t = start_s
-
-    def now(self) -> float:
-        return self._t
-
-    def monotonic(self) -> float:
-        return self._t
-
-    def perf(self) -> float:
-        return self._t
-
-    def sleep(self, seconds: float) -> None:
-        self.advance(seconds)
-
-    def advance(self, seconds: float) -> None:
-        self._t += max(0.0, seconds)
-
-
-class ReplayClock(ManualClock):
-    """Replays a journalled sequence of instants.
-
-    Each :meth:`now` pops the next recorded timestamp (falling back to
-    the last one when the journal is exhausted), so recovery code that
-    asks "what time is it?" sees exactly what the crashed run saw.
-    """
-
-    def __init__(self, instants: Sequence[float]):
-        super().__init__(instants[0] if instants else 0.0)
-        self._pending: List[float] = list(instants)
-
-    def now(self) -> float:
-        if self._pending:
-            self._t = self._pending.pop(0)
-        return self._t
-
-
-_local = threading.local()
-_DEFAULT = SystemClock()
-
-
-def get_clock() -> Clock:
-    """The ambient clock (a :class:`SystemClock` unless overridden)."""
-    return getattr(_local, "clock", _DEFAULT)
-
-
-@contextmanager
-def use_clock(clock: Clock) -> Iterator[Clock]:
-    """Temporarily replace the ambient clock on this thread."""
-    previous = getattr(_local, "clock", None)
-    _local.clock = clock
-    try:
-        yield clock
-    finally:
-        if previous is None:
-            del _local.clock
-        else:
-            _local.clock = previous
 
 
 def now() -> float:
-    """Epoch seconds from the ambient clock."""
-    return get_clock().now()
+    """Seconds since the epoch (journal and span timestamps)."""
+    return time.time()
 
 
 def monotonic() -> float:
-    """Monotonic seconds from the ambient clock."""
-    return get_clock().monotonic()
+    """Monotonic seconds (deadline and backoff arithmetic)."""
+    return time.monotonic()
 
 
 def perf() -> float:
-    """High-resolution seconds from the ambient clock."""
-    return get_clock().perf()
+    """High-resolution seconds (wall-time measurement)."""
+    return time.perf_counter()
 
 
-def sleep(seconds: float) -> None:
-    """Sleep on the ambient clock (a no-op under :class:`ManualClock`)."""
-    get_clock().sleep(seconds)
-
-
-__all__ = [
-    "Clock",
-    "ManualClock",
-    "ReplayClock",
-    "SystemClock",
-    "get_clock",
-    "monotonic",
-    "now",
-    "perf",
-    "sleep",
-    "use_clock",
-]
+__all__ = ["monotonic", "now", "perf"]

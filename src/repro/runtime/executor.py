@@ -34,7 +34,6 @@ from repro.obs import dist as _dist
 from repro.runtime import clock
 from repro.runtime.cache import ResultCache
 from repro.runtime.manifest import RunManifest
-from repro.runtime.perf import PerfStore
 from repro.runtime.progress import auto_reporter
 from repro.runtime.queue import JobQueue
 from repro.runtime.scheduler import (
@@ -81,10 +80,6 @@ class RuntimeContext:
     max_backoff_s: float = 30.0
     #: Per-run trace/metrics capture (None = observability off).
     obs: Optional[_obs.ObsOptions] = None
-    #: Where per-run :class:`~repro.runtime.perf.PerfRecord`s
-    #: accumulate (None = manifest-only; records are computed either
-    #: way, they just aren't persisted per spec hash).
-    perf_store: Optional[PerfStore] = None
     #: Statically verify every spec before dispatch (repro.check Tier
     #: 2): unknown builders, bad config overrides, missing input files
     #: fail here instead of inside a pool worker.
@@ -153,7 +148,6 @@ def run_many(
     max_backoff_s: Optional[float] = None,
     obs: Any = _INHERIT,
     verify: Optional[bool] = None,
-    perf_store: Any = _INHERIT,
     journal: Any = _INHERIT,
 ) -> List[Any]:
     """Execute every spec; return results in spec order.
@@ -175,7 +169,6 @@ def run_many(
     max_backoff_s = ctx.max_backoff_s if max_backoff_s is None else max_backoff_s
     obs = ctx.obs if obs is _INHERIT else obs
     verify = ctx.verify if verify is None else verify
-    perf_store = ctx.perf_store if perf_store is _INHERIT else perf_store
     journal = ctx.journal if journal is _INHERIT else journal
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
@@ -192,7 +185,6 @@ def run_many(
         timeout=TimeoutPolicy(timeout_s),
         obs=obs,
         cache=cache,
-        perf_store=perf_store,
     )
     sink = BatchSink(
         specs, manifest=manifest, reporter=auto_reporter(progress)

@@ -23,7 +23,7 @@ it more than a list of specs:
 The queue is a plain thread-safe structure (``threading.Lock``); the
 scheduler's dispatcher loop drives it, and the HTTP service submits
 into it from request threads.  All wall-clock reads go through
-the journaled :mod:`repro.runtime.clock` seam.
+the :mod:`repro.runtime.clock` seam.
 """
 
 from __future__ import annotations

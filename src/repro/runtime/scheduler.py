@@ -24,8 +24,8 @@ This module is the execution half of the runtime split (the
   :meth:`Scheduler.stop`, woken at once by :meth:`Scheduler.kick`.
 
 The dispatcher thread does all of the scheduler's bookkeeping — cache
-reads and writes, the perf store, manifest and progress sinks, metrics
-and lifecycle spans — so those structures, which have no locks of
+reads and writes, the telemetry log, manifest and progress sinks,
+metrics and lifecycle spans — so those structures, which have no locks of
 their own, never see two scheduler threads at once.  The queue is
 shared with submitting threads, and it locks internally.
 
@@ -38,7 +38,7 @@ name over HTTP and resolve against the default builders — keeps one
 warm.
 
 Determinism: the module is covered by REP101/REP202; every wall-clock
-read goes through the journaled :mod:`repro.runtime.clock` seam.  The
+read goes through the :mod:`repro.runtime.clock` seam.  The
 retry RNG is deliberately unseeded — the jitter exists to decorrelate,
 and never touches simulation results.
 
@@ -91,7 +91,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.runtime import clock
 from repro.runtime.cache import ResultCache
 from repro.runtime.manifest import RunManifest
-from repro.runtime.perf import PerfMeter, PerfRecord, PerfStore
+from repro.runtime.perf import PerfMeter
 from repro.runtime.progress import ProgressReporter
 from repro.runtime.queue import PENDING, Job, JobQueue
 from repro.runtime.spec import RunSpec, get_builder
@@ -565,7 +565,7 @@ class BatchSink:
 
 class Scheduler:
     """Drains a :class:`~repro.runtime.queue.JobQueue` through worker
-    pools; owns the result cache and perf telemetry on that path."""
+    pools; owns the result cache and its telemetry on that path."""
 
     def __init__(
         self,
@@ -574,14 +574,12 @@ class Scheduler:
         timeout: TimeoutPolicy = TimeoutPolicy(),
         obs: Optional[_obs.ObsOptions] = None,
         cache: Optional[ResultCache] = None,
-        perf_store: Optional[PerfStore] = None,
     ):
         self.jobs = jobs
         self.retry = retry
         self.timeout = timeout
         self.obs = obs
         self.cache = cache
-        self.perf_store = perf_store
         #: Retry pacing entropy.  Deliberately unseeded — these delays
         #: never touch simulation results, and sharing entropy across
         #: processes is exactly what the jitter exists to avoid.
@@ -741,18 +739,15 @@ class Scheduler:
         return hits
 
     def flush_telemetry(self, queue: JobQueue) -> None:
-        """Push the result store's lifetime counters (plus queue
-        dedup/completion counts) into the perf store — one snapshot
-        line per batch."""
-        if self.cache is None or self.perf_store is None:
+        """Append the result store's lifetime counters (plus queue
+        dedup/completion counts) to the cache's telemetry log — one
+        snapshot line per batch."""
+        if self.cache is None:
             return
-        telemetry = getattr(self.cache, "telemetry", None)
-        if telemetry is None:
-            return
-        snapshot = dict(telemetry.to_dict())
-        snapshot.update({"queue": queue.stats.to_dict(), "t": clock.now()})
         try:
-            self.perf_store.record_cache(snapshot)
+            self.cache.record_telemetry(
+                {"queue": queue.stats.to_dict(), "t": clock.now()}
+            )
         except OSError:
             pass  # telemetry must never fail the batch it measured
 
@@ -963,11 +958,6 @@ class Scheduler:
         job.perf = perf
         if self.cache is not None:
             self.cache.put(job.spec, result)
-        if perf and self.perf_store is not None:
-            try:
-                self.perf_store.record(PerfRecord.from_dict(perf))
-            except (KeyError, TypeError, ValueError, OSError):
-                pass  # telemetry must never fail the run
         events_per_sec = (perf or {}).get("events_per_sec")
         if isinstance(events_per_sec, (int, float)) and events_per_sec > 0:
             self.events_ewma = (

@@ -3,9 +3,8 @@
 :class:`ExperimentService` wraps the runtime's long-lived half: one
 journalled :class:`~repro.runtime.queue.JobQueue`, one
 :class:`~repro.runtime.scheduler.Scheduler` dispatching on a background
-thread with a warm pool, one segment-backed
-:class:`~repro.runtime.cache.ResultCache`, and one
-:class:`~repro.runtime.perf.PerfStore` — all rooted under the cache
+thread with a warm pool, and one segment-backed
+:class:`~repro.runtime.cache.ResultCache` — all rooted under the cache
 dir.  Batches submitted from any thread coalesce by spec hash (both
 within and *across* batches: two clients submitting the same spec get
 one execution and two streamed results).
@@ -54,7 +53,6 @@ from repro.obs import dist as _dist
 from repro.obs.prom import MetricFamily, registry_families, render_prometheus
 from repro.runtime import clock
 from repro.runtime.cache import DEFAULT_CACHE_ROOT, ResultCache
-from repro.runtime.perf import PerfStore
 from repro.runtime.queue import Job, JobQueue
 from repro.runtime.scheduler import RetryPolicy, Scheduler, TimeoutPolicy
 from repro.runtime.spec import RunSpec, ScenarioRef, get_builder
@@ -200,7 +198,6 @@ class ExperimentService:
         self.cache_dir = Path(cache_dir)
         self.verify = verify
         self.cache = ResultCache(self.cache_dir)
-        self.perf_store = PerfStore(self.cache_dir / "perf")
         self.queue = JobQueue(
             journal=self.cache_dir / JOURNAL_NAME if journal else None
         )
@@ -219,7 +216,6 @@ class ExperimentService:
             timeout=TimeoutPolicy(timeout_s),
             obs=obs,
             cache=self.cache,
-            perf_store=self.perf_store,
         )
         self.scheduler.recorder = self.recorder
         self.scheduler.flight_dir = self.cache_dir / "flight"
@@ -466,10 +462,7 @@ class ExperimentService:
                 batch_id: batch.describe()
                 for batch_id, batch in self._batches.items()
             }
-        try:
-            snapshots = self.perf_store.cache_telemetry()
-        except (OSError, ValueError):
-            snapshots = []
+        snapshots = self.cache.telemetry_snapshots()
         return {
             "uptime_s": max(0.0, clock.now() - self._started_t),
             "jobs": self.scheduler.jobs,

@@ -20,10 +20,10 @@ is ``os.stat`` over the handful of segment files plus a newline count
 of the index: O(metadata).
 
 Telemetry (hits / misses / appends / evictions) accumulates on
-:attr:`SegmentStore.telemetry` and is flushed into the PR-5
-:class:`~repro.runtime.perf.PerfStore` by the scheduler at batch end.
+:attr:`SegmentStore.telemetry`; the scheduler appends one snapshot per
+batch to the result cache's telemetry log.
 
-Wall-clock reads go through the journaled :mod:`repro.runtime.clock`
+Wall-clock reads go through the :mod:`repro.runtime.clock`
 seam (segment stamps, age-based eviction); the module is covered by
 the REP101/REP202 determinism checks.
 """

@@ -4,7 +4,7 @@ and DESIGN.md are executable here, so documentation cannot silently rot.
 
 import pytest
 
-from repro.core.delay import minimum_tau
+from repro.control.delay import minimum_tau
 from repro.core.eib import cached_eib
 from repro.energy.device import GALAXY_S3
 from repro.energy.efficiency import Strategy, per_byte_energy

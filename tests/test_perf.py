@@ -1,32 +1,18 @@
-"""Per-run perf telemetry, the bench suite, the CHK6xx tier, and the
-``repro perf`` / ``trace timeline`` CLI surface."""
+"""Per-run perf telemetry, the CHK6xx tier, and the ``repro perf`` /
+``trace timeline`` CLI surface."""
 
-import copy
 import json
 
 import pytest
 
 from repro.check.perf import (
-    check_bench_doc,
     check_perf_record,
     check_perf_target,
     check_spans,
 )
 from repro.check.findings import Report
 from repro.cli import main
-from repro.errors import ConfigurationError
-from repro.runtime import PerfMeter, PerfRecord, PerfStore, RunSpec
-from repro.runtime.bench import (
-    bench_specs,
-    compare_bench,
-    format_bench_table,
-    format_comparison,
-    latest_bench,
-    measure_spec,
-    read_bench,
-    run_bench,
-    write_bench,
-)
+from repro.runtime import PerfMeter, PerfRecord, RunSpec
 from repro.runtime.manifest import RunManifest
 from repro.units import mib
 
@@ -56,6 +42,13 @@ def make_record(**overrides):
     return PerfRecord(**base)
 
 
+def write_manifest(path, record):
+    """One executed line carrying ``record``, one cached line without."""
+    with RunManifest(path) as manifest:
+        manifest.record(tiny_spec(), "executed", perf=record.to_dict())
+        manifest.record(tiny_spec(), "cached")
+
+
 class TestPerfRecord:
     def test_dict_roundtrip(self):
         record = make_record()
@@ -81,28 +74,6 @@ class TestPerfRecord:
         record = meter.finish(1.0)
         assert record.events == 0
         assert record.sim_s == pytest.approx(0.0)
-
-
-class TestPerfStore:
-    def test_record_history_best(self, tmp_path):
-        store = PerfStore(tmp_path / "perf")
-        slow = make_record(wall_s=4.0, events_per_sec=25.0)
-        fast = make_record(wall_s=1.0, events_per_sec=100.0)
-        store.record(slow)
-        store.record(fast)
-        history = store.history(slow.spec_hash)
-        assert history == [slow, fast]
-        assert store.best(slow.spec_hash) == fast
-        assert store.spec_hashes() == [slow.spec_hash]
-
-    def test_missing_and_malformed_lines(self, tmp_path):
-        store = PerfStore(tmp_path / "perf")
-        assert store.history("deadbeef") == []
-        assert store.best("deadbeef") is None
-        record = make_record()
-        path = store.record(record)
-        path.write_text(path.read_text() + "not json\n")
-        assert store.history(record.spec_hash) == [record]
 
 
 class TestManifestPerf:
@@ -132,72 +103,6 @@ class TestManifestPerf:
         (parsed,) = RunManifest.read(path)
         assert parsed.perf is None and parsed.trace == ""
         assert parsed.spec_hash == entry.spec_hash
-
-
-class TestBench:
-    def test_bench_specs_cover_both_figures_and_engines(self):
-        keys = [key for key, _spec in bench_specs()]
-        assert "fig05-static-good/emptcp@fluid" in keys
-        assert "fig06-static-bad/emptcp@packet" in keys
-        assert len(keys) == 4
-
-    def test_measure_spec_validates_repeats(self):
-        with pytest.raises(ConfigurationError):
-            measure_spec(tiny_spec(), repeats=0)
-
-    def test_run_write_read_compare(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        doc = run_bench(size_mb=0.25, repeats=1,
-                        protocols=("emptcp",), engines=("fluid",),
-                        fleet_sessions=100)
-        # fig05 + fig06 on the fluid engine, the fleet record, and the
-        # batch-submit (scheduler facade) record
-        assert len(doc["records"]) == 4
-        fleet = doc["records"][-2]
-        assert fleet["key"] == "fleet-100/flow"
-        assert fleet["engine"] == "flow"
-        assert fleet["sessions"] == 100 and fleet["events"] > 0
-        batch = doc["records"][-1]
-        assert batch["key"] == "batch-fig56/submit"
-        assert batch["batch_specs"] == 2 and batch["events"] > 0
-        assert check_bench_doc(doc).ok
-        path = write_bench(doc)
-        assert path.name.startswith("BENCH_") and read_bench(path) == doc
-        assert latest_bench() == path
-        assert compare_bench(doc, doc).ok
-        assert "events/s" in format_bench_table(doc)
-
-    def test_doctored_regression_detected(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        doc = run_bench(size_mb=0.25, repeats=1,
-                        protocols=("emptcp",), engines=("fluid",),
-                        fleet_sessions=0)
-        doctored = copy.deepcopy(doc)
-        doctored["records"][0]["events_per_sec"] *= 0.8  # >10% drop
-        comparison = compare_bench(doc, doctored)
-        assert not comparison.ok
-        assert len(comparison.regressions) == 1
-        assert "REGRESSION" in format_comparison(comparison)
-
-    def test_disjoint_keys_reported_not_compared(self):
-        doc_a = {"records": [{"key": "a", "events_per_sec": 1.0}]}
-        doc_b = {"records": [{"key": "b", "events_per_sec": 1.0}]}
-        comparison = compare_bench(doc_a, doc_b)
-        assert comparison.ok  # nothing comparable, nothing regressed
-        assert comparison.only_baseline == ["a"]
-        assert comparison.only_current == ["b"]
-
-    def test_threshold_validated(self):
-        with pytest.raises(ConfigurationError):
-            compare_bench({"records": []}, {"records": []}, threshold=1.5)
-
-    def test_read_bench_rejects_non_bench_files(self, tmp_path):
-        path = tmp_path / "x.json"
-        path.write_text("{}")
-        with pytest.raises(ConfigurationError):
-            read_bench(path)
-        with pytest.raises(ConfigurationError):
-            read_bench(tmp_path / "missing.json")
 
 
 class TestChk6xx:
@@ -255,15 +160,22 @@ class TestChk6xx:
         assert report.ok and report.checked >= 3
 
     def test_check_perf_target_on_files(self, tmp_path):
-        bench = tmp_path / "BENCH_x.json"
-        bench.write_text(json.dumps(
-            {"records": [make_record().to_dict()]}))
         spans = tmp_path / "run.spans.json"
         spans.write_text(json.dumps({"spans": [
             {"path": "root", "name": "root", "depth": 1, "count": 1,
              "wall_s": 1.0, "sim_s": 1.0}]}))
         report = check_perf_target(tmp_path)
-        assert report.ok and report.checked == 2
+        assert report.ok and report.checked == 1
+        # A run manifest: CHK601 over every line that carries a record.
+        manifest = tmp_path / "last-run.jsonl"
+        write_manifest(manifest, make_record())
+        report = check_perf_target(manifest)
+        assert report.ok and report.checked == 1
+        write_manifest(manifest, make_record(events_per_sec=999.0))
+        assert [f.rule for f in check_perf_target(manifest).findings] == [
+            "CHK601"]
+        manifest.write_text("{")
+        assert not check_perf_target(manifest).ok
         broken = tmp_path / "broken.spans.json"
         broken.write_text("{")
         assert not check_perf_target(broken).ok
@@ -324,60 +236,21 @@ class TestPerfCli:
         code, _out, err = self.run_cli(capsys, "perf", "profile", "nope")
         assert code == 2 and "unknown protocol" in err
 
-    def test_perf_record_compare_check_workflow(self, capsys, tmp_path,
-                                                monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        code, out, _err = self.run_cli(
-            capsys, "perf", "record", "--size-mb", "0.25", "--runs", "1")
-        assert code == 0 and "bench record written to" in out
-        bench = latest_bench(tmp_path)
-        assert bench is not None
-
-        code, out, _err = self.run_cli(
-            capsys, "perf", "compare", str(bench), str(bench))
-        assert code == 0 and "0 regression(s)" in out
-
-        doctored = json.loads(bench.read_text())
-        doctored["records"][0]["events_per_sec"] *= 0.5
-        doctored_path = tmp_path / "doctored.json"
-        doctored_path.write_text(json.dumps(doctored))
-        code, out, _err = self.run_cli(
-            capsys, "perf", "compare", str(bench), str(doctored_path))
-        assert code == 1 and "REGRESSION" in out
-
-        # perf check re-runs the suite against the latest BENCH_*.json
-        code, out, _err = self.run_cli(
-            capsys, "perf", "check", "--runs", "1")
-        assert code in (0, 1)  # wall-clock noise may flag a regression
-        assert str(bench.name) in out
-
-    def test_perf_compare_usage_error(self, capsys):
-        code, _out, err = self.run_cli(capsys, "perf", "compare")
-        assert code == 2 and "usage" in err
-
-    def test_perf_check_without_baseline_errors(self, capsys, tmp_path,
-                                                monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        code, _out, err = self.run_cli(capsys, "perf", "check")
-        assert code == 2 and "no baseline" in err
-
     def test_unknown_perf_subcommand(self, capsys):
         code, _out, err = self.run_cli(capsys, "perf", "bogus")
-        assert code == 2 and "profile, record" in err
+        assert code == 2 and "choose profile" in err
 
-    def test_check_perf_subcommand(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        bench = tmp_path / "BENCH_1.json"
-        bench.write_text(json.dumps({"records": [make_record().to_dict()]}))
-        code, out, _err = self.run_cli(capsys, "check", "perf")
+    def test_check_perf_subcommand(self, capsys, tmp_path):
+        # The default sweep reads the last report's manifest (CHK601).
+        write_manifest(tmp_path / "last-run.jsonl", make_record())
+        code, out, _err = self.run_cli(
+            capsys, "check", "perf", "--cache-dir", str(tmp_path))
         assert code == 0 and "perf: OK" in out
 
-    def test_check_perf_without_artifacts_errors(self, capsys, tmp_path,
-                                                 monkeypatch):
-        monkeypatch.chdir(tmp_path)
+    def test_check_perf_without_artifacts_errors(self, capsys, tmp_path):
         code, _out, err = self.run_cli(
             capsys, "check", "perf", "--cache-dir", str(tmp_path / "cache"))
-        assert code == 2 and "no BENCH_" in err
+        assert code == 2 and "no last-run.jsonl" in err
 
     def test_trace_typo_lists_subcommands_before_path_check(self, capsys,
                                                             tmp_path):

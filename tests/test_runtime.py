@@ -508,10 +508,14 @@ class TestFacadeEquivalence:
         """The facade promise: routing the fig5/fig6 suite through the
         queue + scheduler + store pipeline changes nothing about the
         results — byte-identical to calling ``spec.execute()``."""
-        from repro.runtime.bench import bench_specs
-
         specs = [
-            spec for _, spec in bench_specs(size_mb=0.5, engines=("fluid",))
+            RunSpec(
+                protocol="emptcp",
+                builder="static",
+                kwargs={"good_wifi": good_wifi, "download_bytes": mib(0.5)},
+                seed=0,
+            )
+            for good_wifi in (True, False)
         ]
         direct = [
             json.dumps(spec.execute().to_dict(), sort_keys=True)

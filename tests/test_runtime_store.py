@@ -7,8 +7,8 @@ and per-batch store telemetry.
 
 import pytest
 
-from repro.runtime import ResultCache, RunSpec, run_many
-from repro.runtime.perf import PerfStore
+from repro.cli import main
+from repro.runtime import ExperimentService, ResultCache, RunSpec, run_many
 from repro.runtime.store import SegmentStore
 from repro.units import mib
 
@@ -91,20 +91,59 @@ class TestCacheBudgets:
         assert cache.get(small_spec(seed=1)) is not None
 
 
+def spec_named_files(root):
+    """Files named after a spec hash (64 hex digits), as a per-run
+    store would write them."""
+    return [
+        p for p in root.rglob("*")
+        if len(p.stem) == 64 and set(p.stem) <= set("0123456789abcdef")
+    ]
+
+
 class TestTelemetryFlow:
-    def test_batches_flush_cache_telemetry_into_perf_store(self, tmp_path):
+    def test_batches_flush_cache_telemetry_into_cache_log(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        perf = PerfStore(tmp_path / "perf")
         specs = [small_spec(seed=s) for s in range(2)]
-        run_many(specs, cache=cache, perf_store=perf)
-        run_many(specs, cache=cache, perf_store=perf)
-        lines = perf.cache_telemetry()
+        run_many(specs, cache=cache)
+        run_many(specs, cache=cache)
+        lines = cache.telemetry_snapshots()
         assert len(lines) == 2  # one snapshot per batch
         assert lines[0]["misses"] == 2 and lines[0]["appends"] == 2
         assert lines[1]["hits"] == 2  # warm batch
         assert lines[1]["queue"]["submitted"] == 2
-        # The telemetry file never pollutes the per-spec hash listing.
-        assert perf.cache_telemetry_path().exists()
-        assert all(
-            "cache-telemetry" not in h for h in perf.spec_hashes()
-        )
+        # The log outlives the process's counters: a fresh instance
+        # over the same root reads the same snapshots.
+        assert ResultCache(tmp_path / "cache").telemetry_snapshots() == lines
+
+    def test_torn_telemetry_lines_are_skipped(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        assert cache.telemetry_snapshots() == []
+        cache.record_telemetry({"t": 1.0})
+        log = next((tmp_path / "cache").glob("*.jsonl"))
+        log.write_text(log.read_text() + '{"hits": \n')
+        assert [line["t"] for line in cache.telemetry_snapshots()] == [1.0]
+
+    def test_runs_write_no_per_spec_files_and_snapshots_stay_visible(
+        self, tmp_path, capsys
+    ):
+        """Executed runs leave their results in the store and one
+        telemetry line per batch, and no file per spec; ``cache stats``
+        and ``/v1/status`` both read the latest snapshot."""
+        cache_dir = tmp_path / "cache"
+        assert main([
+            "run", "emptcp", "good", "--size-mb", "1", "--runs", "1",
+            "--cache", "--cache-dir", str(cache_dir), "--no-progress",
+        ]) == 0
+        assert main(["cache", "stats", "--cache-dir", str(cache_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "telemetry:  1 batch snapshot(s); latest: 0 hit(s) / " \
+            "1 miss(es)" in out
+        assert spec_named_files(cache_dir) == []
+
+        with ExperimentService(cache_dir, jobs=1) as svc:
+            summary = svc.submit_batch([small_spec(seed=3).to_dict()])
+            list(svc.stream_batch(summary["batch"]))
+            status = svc.status()
+        assert status["cache_telemetry"]["snapshots"] == 2
+        assert status["cache_telemetry"]["last"]["appends"] == 1
+        assert spec_named_files(cache_dir) == []
