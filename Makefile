@@ -23,11 +23,10 @@ check:  ## static tiers: lint + dataflow vs baselines + config verification
 
 lint: check
 
-trace-smoke:  ## one traced smoke run; the exported JSONL must validate
+trace-smoke:  ## one traced smoke run; its run records must pass CHK3xx/CHK7xx
 	rm -rf .trace-smoke
 	PYTHONPATH=src $(PY) -m repro.cli fig6 --runs 1 --size-mb 2 --trace \
 		--metrics --no-progress --cache-dir .trace-smoke > /dev/null
-	PYTHONPATH=src $(PY) -m repro.cli trace validate .trace-smoke/obs
 	PYTHONPATH=src $(PY) -m repro.cli check trace .trace-smoke/obs
 	PYTHONPATH=src $(PY) -m repro.cli trace summarize .trace-smoke/obs
 	rm -rf .trace-smoke
@@ -57,7 +56,7 @@ fleet-smoke:  ## 1k-session flow-tier fleet under a time budget, obs-sampled
 	timeout 120 env PYTHONPATH=src $(PY) -m repro.cli fleet run \
 		--sessions 1000 --duration-s 60 --trace \
 		--obs-dir .fleet-smoke/obs --no-progress
-	PYTHONPATH=src $(PY) -m repro.cli trace validate .fleet-smoke/obs
+	PYTHONPATH=src $(PY) -m repro.cli check trace .fleet-smoke/obs
 	PYTHONPATH=src $(PY) -m repro.cli fleet sweep 100 1000 --duration-s 20 \
 		--no-progress > /dev/null
 	timeout 120 env PYTHONPATH=src $(PY) -m repro.cli validate \

@@ -19,10 +19,9 @@ CHK703    time containment: a child span leaves its parent's
           execution time exceeds the batch wall time (beyond a small
           scheduling epsilon).
 CHK704    a span ends before it starts (negative duration).
-CHK705    a stamped run export (``.trace.jsonl`` events or
-          ``.spans.json`` profiler doc) references a trace or span id
-          that no lifecycle file defines — the correlation the layer
-          exists for is broken.
+CHK705    a stamped run record (``<hash>.trace.jsonl``) references a
+          trace or span id that no lifecycle file defines — the
+          correlation the layer exists for is broken.
 ========  ============================================================
 
 A directory with no lifecycle files at all yields an OK report (zero
@@ -32,9 +31,8 @@ suspicious.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, Set, Union
 
 from repro.check.findings import Finding, Report, Severity
 from repro.obs.dist import (
@@ -43,6 +41,7 @@ from repro.obs.dist import (
     iter_lifecycle_files,
     read_lifecycle,
 )
+from repro.obs.trace import iter_trace_files, read_run_record
 
 TIER = "trace"
 
@@ -169,81 +168,37 @@ def _check_budget(
 def _check_references(
     report: Report, scan_dir: Path, known: Dict[str, Set[str]]
 ) -> None:
-    """CHK705 over stamped run exports in the same directory."""
+    """CHK705 over the stamped run records in the same directory."""
     if not scan_dir.is_dir():
         return
-    for path in sorted(scan_dir.glob("*.trace.jsonl")):
-        stamp = _first_stamp(path)
+    for path in iter_trace_files(scan_dir):
+        try:
+            stamp = read_run_record(path).stamp
+        except (OSError, ValueError):
+            continue  # unreadable: CHK301 reports it
         if stamp is None:
             continue  # unstamped: tracing predates the dist layer
-        _check_stamp(report, str(path), stamp, known, "run trace")
-    for path in sorted(scan_dir.glob("*.spans.json")):
-        try:
-            doc = json.loads(path.read_text())
-        except (OSError, ValueError):
-            continue
-        if not isinstance(doc, dict):
-            continue
-        trace_id = str(doc.get("trace_id", ""))
-        span_id = str(doc.get("span_id", ""))
-        if not trace_id:
-            continue
-        _check_stamp(
-            report, str(path), (trace_id, span_id), known, "profiler doc"
-        )
-
-
-def _first_stamp(path: Path) -> Optional[Tuple[str, str]]:
-    """The ``(trace_id, span_id)`` stamp of a run trace's first event,
-    or None when the file is unstamped/unreadable."""
-    try:
-        with open(path, "r") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    doc = json.loads(line)
-                except ValueError:
-                    return None
-                if not isinstance(doc, dict):
-                    return None
-                trace_id = str(doc.get("trace_id", ""))
-                span_id = str(doc.get("span_id", ""))
-                return (trace_id, span_id) if trace_id else None
-    except OSError:
-        return None
-    return None
-
-
-def _check_stamp(
-    report: Report,
-    path: str,
-    stamp: Tuple[str, str],
-    known: Dict[str, Set[str]],
-    kind: str,
-) -> None:
-    trace_id, span_id = stamp
-    spans = known.get(trace_id)
-    if spans is None:
-        report.add(
-            "CHK705",
-            f"{kind} is stamped with trace {trace_id}, which no "
-            "lifecycle file defines",
-            path=path,
-        )
-    elif span_id and span_id not in spans:
-        # Warning, not error: a fully-cached re-run of an identical
-        # batch truncates the lifecycle file (no exec spans — nothing
-        # ran) while the prior run's stamped exports remain on disk.
-        report.add(
-            "CHK705",
-            f"{kind} is stamped with span {span_id} of trace "
-            f"{trace_id}, but that trace has no such lifecycle span "
-            "(stale export from a previous execution?)",
-            path=path,
-            severity=Severity.WARNING,
-        )
+        trace_id, span_id = stamp
+        spans = known.get(trace_id)
+        if spans is None:
+            report.add(
+                "CHK705",
+                f"run record is stamped with trace {trace_id}, which no "
+                "lifecycle file defines",
+                path=str(path),
+            )
+        elif span_id and span_id not in spans:
+            # Warning, not error: a fully-cached re-run of an identical
+            # batch truncates the lifecycle file (no exec spans — nothing
+            # ran) while the prior run's stamped records remain on disk.
+            report.add(
+                "CHK705",
+                f"run record is stamped with span {span_id} of trace "
+                f"{trace_id}, but that trace has no such lifecycle span "
+                "(stale record from a previous execution?)",
+                path=str(path),
+                severity=Severity.WARNING,
+            )
 
 
 __all__ = ["EPSILON_S", "TIER", "check_trace_topology"]

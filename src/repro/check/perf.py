@@ -1,14 +1,15 @@
 """Perf-telemetry invariants (CHK6xx) — the profiler/perf check tier.
 
 Validates the two artefacts :mod:`repro.obs.prof` and
-:mod:`repro.runtime.perf` produce:
+:mod:`repro.runtime.perf` produce — the profile record of a run record
+and the perf record of a run-manifest line:
 
 * **CHK601** — the perf record on each executed run-manifest line is
   schema-complete and internally consistent: required keys present,
   counters non-negative, and the claimed throughput matches
   ``events / wall_s`` (the record is computed from one measured run,
   so the identity holds exactly up to float noise).
-* **CHK602** — a span export is a well-formed tree: every non-root
+* **CHK602** — a profile record is a well-formed tree: every non-root
   path has its parent in the export, counts are positive, totals
   non-negative, and depth agrees with the path.
 * **CHK603** — conservation: the direct children of a span never
@@ -20,13 +21,13 @@ Validates the two artefacts :mod:`repro.obs.prof` and
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Union
 
 from repro.check.findings import Report, Severity
 from repro.errors import ConfigurationError
 from repro.obs.prof import PATH_SEP
+from repro.obs.trace import iter_trace_files, read_run_record
 from repro.runtime.manifest import RunManifest
 
 #: Required keys of a PerfRecord dict.
@@ -169,36 +170,37 @@ def check_spans(profile: Mapping[str, Any], where: str = "") -> Report:
 
 
 def check_perf_target(target: Union[str, Path]) -> Report:
-    """CLI entry: CHK602/603 over a ``*.spans.json`` export (or every
-    one under a directory), CHK601 over a JSONL run manifest."""
+    """CLI entry: CHK602/603 over the profile record of a run record
+    (or of every one under a directory), CHK601 over a JSONL run
+    manifest.  A run captured without ``--profile`` has nothing to
+    check."""
     path = Path(target)
     report = Report(tier="perf")
     if path.is_dir():
-        files = sorted(path.glob("*.spans.json"))
-        if not files:
-            report.checked += 1
-            report.add(
-                "CHK601",
-                f"no *.spans.json under {path}",
-                severity=Severity.WARNING,
-            )
-            return report
-        for file in files:
+        for file in iter_trace_files(path):
             sub = check_perf_target(file)
             report.extend(sub.findings)
             report.checked += sub.checked
+        if not report.checked and not report.findings:
+            report.checked += 1
+            report.add(
+                "CHK601",
+                f"no profiled run record under {path}",
+                severity=Severity.WARNING,
+            )
         return report
-    if not path.name.endswith(".spans.json"):
+    if not path.name.endswith(".trace.jsonl"):
         return check_manifest_perf(path)
     try:
-        doc = json.loads(path.read_text())
+        profile = read_run_record(path).profile
     except (OSError, ValueError) as exc:
         report.checked += 1
         report.add("CHK601", f"cannot parse {path}: {exc}", path=str(path))
         return report
-    sub = check_spans(doc, where=path.name)
-    report.extend(sub.findings)
-    report.checked += sub.checked
+    if profile is not None:
+        sub = check_spans(profile, where=path.name)
+        report.extend(sub.findings)
+        report.checked += sub.checked
     return report
 
 

@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.check.findings import Report, Severity
 from repro.obs.events import validate_event
-from repro.obs.trace import iter_trace_files, read_jsonl
+from repro.obs.trace import iter_trace_files, read_run_record
 
 #: Relative tolerance for byte-conservation comparisons — the fluid
 #: model accumulates floats over thousands of rounds.
@@ -304,10 +304,10 @@ def _check_byte_conservation(
 
 
 def check_trace_file(path: Union[str, Path]) -> Report:
-    """Analyze one exported ``*.trace.jsonl`` file."""
+    """Analyze the events of one run record (``*.trace.jsonl``)."""
     path = Path(path)
     try:
-        events = read_jsonl(path)
+        events = read_run_record(path).events
     except (OSError, ValueError) as exc:
         report = Report(tier="trace")
         report.add("CHK301", str(exc), path=str(path))

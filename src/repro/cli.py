@@ -33,7 +33,7 @@ from repro.experiments import streaming as stream_exp
 from repro.experiments import upload as upload_exp
 from repro.experiments import web as web_exp
 from repro.experiments import wild as wild_exp
-from repro.obs import ObsOptions, iter_trace_files, validate_trace_files
+from repro.obs import ObsOptions, iter_trace_files
 from repro.obs.summarize import (
     build_timeline,
     format_timeline,
@@ -485,9 +485,9 @@ def _cmd_trace(args) -> int:
     # like `trace summarise` must list the choices, not complain about
     # (or create state under) the default trace directory.
     sub = args.subcommand or "summarize"
-    if sub not in ("summarize", "validate", "timeline", "tree"):
+    if sub not in ("summarize", "timeline", "tree"):
         print(f"unknown trace subcommand {sub!r}; choose summarize, "
-              f"validate, timeline, or tree", file=sys.stderr)
+              f"timeline, or tree", file=sys.stderr)
         return 2
     target = Path(args.target) if args.target else Path(args.cache_dir) / "obs"
     if not target.exists():
@@ -513,33 +513,20 @@ def _cmd_trace(args) -> int:
             return 2
         print(format_trace_summary(summary))
         return 0
-    if sub == "timeline":
-        if target.is_dir():
-            files = list(iter_trace_files(target))
-            if len(files) != 1:
-                print(f"error: trace timeline needs one trace file; {target} "
-                      f"holds {len(files)} (pass the file explicitly)",
-                      file=sys.stderr)
-                return 2
-            target = files[0]
-        try:
-            entries = build_timeline(target)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+    if target.is_dir():
+        files = list(iter_trace_files(target))
+        if len(files) != 1:
+            print(f"error: trace timeline needs one trace file; {target} "
+                  f"holds {len(files)} (pass the file explicitly)",
+                  file=sys.stderr)
             return 2
-        print(format_timeline(entries))
-        return 0
-    checked = len(list(iter_trace_files(target)))
-    failures = validate_trace_files(target)
-    for name in sorted(failures):
-        for problem in failures[name]:
-            print(f"{name}: {problem}", file=sys.stderr)
-    if failures:
-        total = sum(len(p) for p in failures.values())
-        print(f"{total} schema problem(s) in {len(failures)} of {checked} "
-              f"trace file(s)", file=sys.stderr)
-        return 1
-    print(f"{checked} trace file(s) validate against the event schema")
+        target = files[0]
+    try:
+        entries = build_timeline(target)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(format_timeline(entries))
     return 0
 
 
@@ -724,15 +711,17 @@ def _cmd_check(args) -> int:
         if args.target and sub == "perf":
             targets = [Path(args.target)]
         else:
-            # Default sweep: the last report's manifest plus span
-            # exports under the obs dir (skipped silently in `all`
+            # Default sweep: the last report's manifest plus the run
+            # records under the obs dir (skipped silently in `all`
             # when neither exists yet).
             cache_dir = Path(args.cache_dir)
             manifest = cache_dir / "last-run.jsonl"
             targets = [manifest] if manifest.is_file() else []
-            targets += sorted((cache_dir / "obs").glob("*.spans.json"))
+            obs_dir = cache_dir / "obs"
+            if obs_dir.is_dir():
+                targets += iter_trace_files(obs_dir)
         if not targets and sub == "perf":
-            print("error: no last-run.jsonl and no *.spans.json under the "
+            print("error: no last-run.jsonl and no *.trace.jsonl under the "
                   "cache dir; run with --profile or pass a file/directory",
                   file=sys.stderr)
             return 2
@@ -851,10 +840,8 @@ def _cmd_fleet(args) -> int:
                 t0 = _time.perf_counter()
                 result = run_fleet(spec)
                 wall = _time.perf_counter() - t0
-            out = Path(args.obs_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            path = ses.tracer.to_jsonl(
-                out / f"fleet-{result.spec_hash}.trace.jsonl"
+            path = ses.export(
+                Path(args.obs_dir) / f"fleet-{result.spec_hash}.trace.jsonl"
             )
             print(f"trace written to {path}", file=sys.stderr)
         else:
@@ -924,7 +911,7 @@ def _cmd_streaming(args) -> int:
 _COMMANDS = {
     "list": (_cmd_list, "list available experiments"),
     "cache": (_cmd_cache, "inspect (stats) or empty (clear) the result cache"),
-    "trace": (_cmd_trace, "summarize, validate, timeline, or tree exported traces"),
+    "trace": (_cmd_trace, "summarize, timeline, or tree exported run records"),
     "check": (_cmd_check, "static lint / config / trace / perf-invariant checks"),
     "perf": (_cmd_perf, "profile one run's hot paths (perf profile)"),
     "run": (_cmd_run, "run one protocol on good|bad WiFi (--engine fluid|packet|flow)"),
@@ -968,8 +955,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "subcommand", nargs="?", default=None,
         help="cache subcommand: stats (default) or clear; "
-             "trace subcommand: summarize (default), validate, timeline, "
-             "or tree; "
+             "trace subcommand: summarize (default), timeline, or tree; "
              "check subcommand: lint, dataflow, config, trace, determinism, perf, "
              "or all (default); perf subcommand: profile (default); "
              "service subcommand: serve (default) or "
@@ -1044,16 +1030,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--metrics", action="store_true", default=False,
         help="capture counters/gauges/histograms per executed run "
-             "(exported as <obs-dir>/<spec-hash>.metrics.json)",
+             "(a trailing metrics record in <obs-dir>/<spec-hash>.trace.jsonl)",
     )
     parser.add_argument(
         "--profile", action="store_true", default=False,
         help="capture a hierarchical span profile per executed run "
-             "(exported as <obs-dir>/<spec-hash>.spans.json)",
+             "(a trailing profile record in <obs-dir>/<spec-hash>.trace.jsonl)",
     )
     parser.add_argument(
         "--obs-dir", default=None,
-        help="where per-run trace/metrics exports land "
+        help="where per-run records (<spec-hash>.trace.jsonl) land "
              "(default: <cache-dir>/obs)",
     )
     baseline_group = parser.add_mutually_exclusive_group()

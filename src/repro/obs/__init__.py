@@ -20,13 +20,13 @@ Capturing a run::
 
     with obs.capture() as session:
         result = run_scenario("emptcp", scenario)
-    session.tracer.to_jsonl("run.trace.jsonl")
-    session.metrics.to_dict()
+    session.export("run.trace.jsonl")
+    obs.read_run_record("run.trace.jsonl").metrics
 
-The parallel runtime (:mod:`repro.runtime.executor`) wraps every
+The execution runtime (:mod:`repro.runtime.scheduler`) wraps every
 executed :class:`~repro.runtime.spec.RunSpec` in its own session when
-tracing is requested (CLI ``--trace`` / ``--metrics``) and files the
-exports next to the run manifest, keyed by the spec's content hash.
+capture is requested (CLI ``--trace`` / ``--metrics`` / ``--profile``)
+and files it as one run record, ``<obs-dir>/<spec-hash>.trace.jsonl``.
 
 Sessions are per-process and not thread-safe by design: simulation
 runs are single-threaded, and the process pool gives each worker its
@@ -37,17 +37,21 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Optional
+from pathlib import Path
+from typing import Any, Dict, Iterator, Optional, Union
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.prof import Profiler, SpanStats, format_span_table
-from repro.obs.trace import DEFAULT_RING_SIZE, Tracer, iter_trace_files, read_jsonl
-from repro.obs.events import (
-    EVENT_SCHEMA,
-    validate_event,
-    validate_events,
-    validate_trace_files,
+from repro.obs.trace import (
+    DEFAULT_RING_SIZE,
+    RunRecord,
+    Tracer,
+    iter_trace_files,
+    read_jsonl,
+    read_run_record,
+    write_run_record,
 )
+from repro.obs.events import EVENT_SCHEMA, validate_event, validate_events
 from repro.obs.dist import (
     LifecycleSpan,
     SpanRecorder,
@@ -76,8 +80,10 @@ __all__ = [
     "EVENT_SCHEMA",
     "validate_event",
     "validate_events",
-    "validate_trace_files",
     "read_jsonl",
+    "RunRecord",
+    "read_run_record",
+    "write_run_record",
     "iter_trace_files",
     "DEFAULT_RING_SIZE",
     "LifecycleSpan",
@@ -97,15 +103,33 @@ class ObsSession:
     metrics: Optional[MetricsRegistry] = None
     profiler: Optional[Profiler] = None
 
+    def export(
+        self,
+        path: Union[str, Path],
+        stamp: Optional[Dict[str, str]] = None,
+    ) -> Path:
+        """File this capture as one run record at ``path``."""
+        return write_run_record(
+            path,
+            events=self.tracer if self.tracer is not None else (),
+            profile=(
+                self.profiler.to_dict() if self.profiler is not None else None
+            ),
+            metrics=(
+                self.metrics.to_dict() if self.metrics is not None else None
+            ),
+            stamp=stamp,
+        )
+
 
 @dataclass(frozen=True)
 class ObsOptions:
     """How the execution runtime should capture runs.
 
-    ``dir`` is where per-run exports land (``<hash>.trace.jsonl`` /
-    ``<hash>.metrics.json``); ``trace``/``metrics`` choose what is
-    collected.  The dataclass is picklable so it crosses the process
-    boundary to pool workers unchanged.
+    ``dir`` is where each run's record lands (``<hash>.trace.jsonl``);
+    ``trace``/``metrics``/``profile`` choose what it holds.  The
+    dataclass is picklable so it crosses the process boundary to pool
+    workers unchanged.
     """
 
     dir: str

@@ -10,10 +10,7 @@ contract between the emitters and ``trace summarize``.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Tuple, Union
-
-from repro.obs.trace import iter_trace_files, read_jsonl
+from typing import Any, Dict, Iterable, List, Mapping, Tuple
 
 _NUM = (int, float)
 _STR = (str,)
@@ -134,20 +131,3 @@ def validate_events(events: Iterable[Mapping[str, Any]]) -> List[str]:
         for problem in validate_event(event):
             problems.append(f"event {i}: {problem}")
     return problems
-
-
-def validate_trace_files(target: Union[str, Path]) -> Dict[str, List[str]]:
-    """Validate every trace under ``target`` (file or directory).
-
-    Returns ``{file: problems}`` for the files that failed; an empty
-    dict means everything validated.
-    """
-    failures: Dict[str, List[str]] = {}
-    for path in iter_trace_files(target):
-        try:
-            problems = validate_events(read_jsonl(path))
-        except (OSError, ValueError) as exc:
-            problems = [str(exc)]
-        if problems:
-            failures[str(path)] = problems
-    return failures

@@ -177,7 +177,7 @@ class Profiler:
         return node.wall_s - child_wall, node.sim_s - child_sim
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready export (the ``*.spans.json`` payload)."""
+        """JSON-ready export (the ``data`` of a run record's profile record)."""
         self.unwind()
         spans = []
         for node in self.records():

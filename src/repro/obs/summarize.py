@@ -8,18 +8,16 @@ delayed-establishment triggers fired, how the MP_PRIO suspensions
 landed, and how long the cellular radio dwelt in each RRC state.
 
 Also home to the ``trace timeline`` view, which merges a run's trace
-events with the spans of its sibling ``*.spans.json`` profile (when
-the run was captured with ``--profile``) into one chronological,
-sim-time-ordered listing.
+events with the spans of its profile record (when the run was captured
+with ``--profile``) into one chronological, sim-time-ordered listing.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Union
 
-from repro.obs.trace import iter_trace_files, read_jsonl
+from repro.obs.trace import iter_trace_files, read_run_record
 
 
 def summarize_events(events: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
@@ -115,7 +113,7 @@ def summarize_target(target: Union[str, Path]) -> Dict[str, Any]:
         except OSError:
             skipped.append(path.name)
             continue
-        events = read_jsonl(path)
+        events = read_run_record(path).events
         per_file[path.name] = len(events)
         all_events.extend(events)
     summary = summarize_events(all_events)
@@ -175,21 +173,9 @@ def format_trace_summary(summary: Mapping[str, Any]) -> str:
 # trace timeline: events + spans, chronologically
 
 
-def spans_path_for(trace_path: Union[str, Path]) -> Path:
-    """The sibling ``*.spans.json`` a profiled run exports next to its
-    ``*.trace.jsonl`` (same stem, same directory)."""
-    path = Path(trace_path)
-    name = path.name
-    if name.endswith(".trace.jsonl"):
-        name = name[: -len(".trace.jsonl")]
-    else:
-        name = path.stem
-    return path.with_name(f"{name}.spans.json")
-
-
 def build_timeline(trace_path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Merge one run's trace events with its profile spans, ordered by
-    simulated time.
+    """Merge one run record's events with its profile spans, ordered
+    by simulated time.
 
     Each entry is ``{"t", "kind", "label", "detail"}`` where ``kind``
     is ``"event"`` or ``"span"``.  A span is placed at the sim time it
@@ -197,8 +183,9 @@ def build_timeline(trace_path: Union[str, Path]) -> List[Dict[str, Any]]:
     cumulative wall/sim).  Runs captured without ``--profile`` simply
     yield an events-only timeline.
     """
+    record = read_run_record(trace_path)
     entries: List[Dict[str, Any]] = []
-    for event in read_jsonl(trace_path):
+    for event in record.events:
         t = event.get("t")
         detail = ", ".join(
             f"{key}={event[key]}"
@@ -213,25 +200,19 @@ def build_timeline(trace_path: Union[str, Path]) -> List[Dict[str, Any]]:
                 "detail": detail,
             }
         )
-    spans_file = spans_path_for(trace_path)
-    if spans_file.is_file():
-        try:
-            profile = json.loads(spans_file.read_text())
-        except ValueError:
-            profile = {}
-        for span in profile.get("spans", []):
-            entries.append(
-                {
-                    "t": float(span.get("first_sim_t") or 0.0),
-                    "kind": "span",
-                    "label": str(span.get("path", "?")),
-                    "detail": (
-                        f"count={span.get('count', 0)}, "
-                        f"cum wall={span.get('wall_s', 0.0) * 1e3:.2f}ms, "
-                        f"cum sim={span.get('sim_s', 0.0):.3f}s"
-                    ),
-                }
-            )
+    for span in (record.profile or {}).get("spans", []):
+        entries.append(
+            {
+                "t": float(span.get("first_sim_t") or 0.0),
+                "kind": "span",
+                "label": str(span.get("path", "?")),
+                "detail": (
+                    f"count={span.get('count', 0)}, "
+                    f"cum wall={span.get('wall_s', 0.0) * 1e3:.2f}ms, "
+                    f"cum sim={span.get('sim_s', 0.0):.3f}s"
+                ),
+            }
+        )
     # Stable sort: ties keep events before the spans they triggered
     # only by insertion order, which already lists events first.
     entries.sort(key=lambda entry: entry["t"])

@@ -1,28 +1,27 @@
 """Cross-process span-tree assembly for ``trace tree``.
 
 Takes one obs directory — lifecycle spans
-(``<trace_id>.lifecycle.jsonl`` from the scheduler/service), per-run
-event traces (``<hash>.trace.jsonl``), and profiler docs
-(``<hash>.spans.json``) — and reassembles the single logical tree the
-batch formed at runtime: batch root → per-job spans → queue-wait and
-execution attempts, with each run's stamped exports attached to the
-attempt that produced them.
+(``<trace_id>.lifecycle.jsonl`` from the scheduler/service) and run
+records (``<hash>.trace.jsonl``: events plus any trailing profile) —
+and reassembles the single logical tree the batch formed at runtime:
+batch root → per-job spans → queue-wait and execution attempts, with
+each stamped run record attached to the attempt that produced it.
 
 Pure file-reading and formatting; no clock, no runtime imports.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.obs.dist import (
     LifecycleSpan,
     iter_lifecycle_files,
     read_lifecycle,
 )
+from repro.obs.trace import iter_trace_files, read_run_record
 
 #: Profiler spans shown per execution node, by cumulative wall time.
 TOP_PROFILE_SPANS = 3
@@ -30,7 +29,7 @@ TOP_PROFILE_SPANS = 3
 
 @dataclass
 class RunAnnotation:
-    """What one run's stamped exports contribute to an exec span."""
+    """What one stamped run record contributes to an exec span."""
 
     span_id: str
     trace_id: str
@@ -62,71 +61,37 @@ class TraceTree:
 def _scan_run_annotations(
     target: Path,
 ) -> Dict[Tuple[str, str], RunAnnotation]:
-    """``{(trace_id, span_id): annotation}`` from stamped run exports.
+    """``{(trace_id, span_id): annotation}`` from stamped run records.
 
-    Every line of a stamped ``.trace.jsonl`` carries the same stamp,
-    so the first line identifies the file and the rest just count.
-    Unstamped files (tracing predates the dist layer) are skipped.
+    Unstamped records (tracing predates the dist layer) and unreadable
+    ones (CHK301 reports those) are skipped.
     """
     out: Dict[Tuple[str, str], RunAnnotation] = {}
     if not target.is_dir():
         return out
-    for path in sorted(target.glob("*.trace.jsonl")):
-        first: Optional[Dict[str, Any]] = None
-        events = 0
+    for path in iter_trace_files(target):
         try:
-            with open(path, "r") as fh:
-                for line in fh:
-                    if not line.strip():
-                        continue
-                    events += 1
-                    if first is None:
-                        try:
-                            doc = json.loads(line)
-                        except ValueError:
-                            break
-                        if isinstance(doc, dict):
-                            first = doc
-        except OSError:
-            continue
-        if first is None:
-            continue
-        trace_id = str(first.get("trace_id", ""))
-        span_id = str(first.get("span_id", ""))
-        if not trace_id or not span_id:
-            continue
-        key = (trace_id, span_id)
-        note = out.setdefault(
-            key, RunAnnotation(span_id=span_id, trace_id=trace_id)
-        )
-        note.events = events
-        note.trace_file = path.name
-    for path in sorted(target.glob("*.spans.json")):
-        try:
-            doc = json.loads(path.read_text())
+            record = read_run_record(path)
         except (OSError, ValueError):
             continue
-        if not isinstance(doc, dict):
+        if record.stamp is None or not record.stamp[1]:
             continue
-        trace_id = str(doc.get("trace_id", ""))
-        span_id = str(doc.get("span_id", ""))
-        if not trace_id or not span_id:
-            continue
-        spans = doc.get("spans", [])
-        top: List[Tuple[str, float]] = []
-        if isinstance(spans, list):
-            timed = [
+        trace_id, span_id = record.stamp
+        timed = sorted(
+            (
                 (str(s.get("path", "?")), float(s.get("wall_s", 0.0)))
-                for s in spans
+                for s in (record.profile or {}).get("spans", [])
                 if isinstance(s, dict)
-            ]
-            timed.sort(key=lambda pair: -pair[1])
-            top = timed[:TOP_PROFILE_SPANS]
-        note = out.setdefault(
-            (trace_id, span_id),
-            RunAnnotation(span_id=span_id, trace_id=trace_id),
+            ),
+            key=lambda pair: -pair[1],
         )
-        note.profile_top = top
+        out[(trace_id, span_id)] = RunAnnotation(
+            span_id=span_id,
+            trace_id=trace_id,
+            events=len(record.events),
+            trace_file=path.name,
+            profile_top=timed[:TOP_PROFILE_SPANS],
+        )
     return out
 
 

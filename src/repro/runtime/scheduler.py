@@ -46,7 +46,7 @@ Observability: when a :class:`~repro.obs.dist.SpanRecorder` is
 attached (``scheduler.recorder``), every job emits lifecycle spans —
 ``queue.wait`` (submit→pop), one ``job.exec`` per attempt (annotated
 with pool/worker/status), and a terminal ``job`` span — all under the
-batch's deterministic trace id, with the per-run obs exports stamped
+batch's deterministic trace id, with each run record stamped
 with the executing attempt's ``(trace_id, span_id)``.  A
 :class:`~repro.obs.metrics.MetricsRegistry` on the scheduler counts
 retries/timeouts/crashes/cache hits for the service's ``/v1/metrics``
@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
 import multiprocessing
 import os
 import random
@@ -212,41 +211,6 @@ def _ctx_stamp(
     return {"trace_id": trace_id, "span_id": span_id}
 
 
-def _export_session(
-    spec: RunSpec,
-    options: _obs.ObsOptions,
-    session: _obs.ObsSession,
-    stamp: Optional[Dict[str, str]] = None,
-) -> str:
-    """File one run's capture under ``options.dir``; return the trace
-    path ("" when only metrics were collected).  ``stamp`` carries the
-    distributed-trace identity merged into every export."""
-    out_dir = Path(options.dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = spec.content_hash()
-    trace_path = ""
-    if session.tracer is not None:
-        trace_path = str(out_dir / f"{stem}.trace.jsonl")
-        session.tracer.to_jsonl(trace_path, extra=stamp)
-    if session.metrics is not None:
-        metrics_doc = session.metrics.to_dict()
-        if stamp:
-            metrics_doc.update(stamp)
-        metrics_path = out_dir / f"{stem}.metrics.json"
-        metrics_path.write_text(
-            json.dumps(metrics_doc, indent=2, sort_keys=True) + "\n"
-        )
-    if session.profiler is not None:
-        spans_doc = session.profiler.to_dict()
-        if stamp:
-            spans_doc.update(stamp)
-        spans_path = out_dir / f"{stem}.spans.json"
-        spans_path.write_text(
-            json.dumps(spans_doc, indent=2, sort_keys=True) + "\n"
-        )
-    return trace_path
-
-
 def _execute_observed(
     spec: RunSpec,
     options: Optional[_obs.ObsOptions],
@@ -254,8 +218,9 @@ def _execute_observed(
 ) -> Tuple[Any, str]:
     """Run one spec, inside its own capture session when requested.
 
-    Returns ``(result, trace_path)``; the trace path is "" when
-    observability is off.
+    Returns ``(result, trace_path)``: the path of the run's record,
+    ``<options.dir>/<hash>.trace.jsonl``, stamped with ``stamp`` (the
+    distributed-trace identity), or "" when observability is off.
     """
     if options is None or not options.enabled:
         return spec.execute(), ""
@@ -266,7 +231,8 @@ def _execute_observed(
         ring_size=options.ring_size,
     ) as session:
         result = spec.execute()
-    return result, _export_session(spec, options, session, stamp=stamp)
+    path = Path(options.dir) / f"{spec.content_hash()}.trace.jsonl"
+    return result, str(session.export(path, stamp=stamp))
 
 
 def _worker_run(

@@ -123,8 +123,11 @@ class TestStampedReferences:
 
     def test_chk705_stale_span_is_a_warning(self, tmp_path):
         _record(tmp_path, _healthy())
-        (tmp_path / "aaa111.spans.json").write_text(json.dumps({
-            "trace_id": "t1", "span_id": "gone-span", "spans": []}))
+        # A profile-only run record: its stamp lives on the trailing
+        # profile record, there being no event lines.
+        (tmp_path / "aaa111.trace.jsonl").write_text(json.dumps({
+            "record": "profile", "data": {"spans": []},
+            "trace_id": "t1", "span_id": "gone-span"}) + "\n")
         report = check_trace_topology(tmp_path)
         assert "CHK705" in _rules(report)
         assert report.ok  # stale exports survive cached re-runs

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.obs.trace import read_run_record
 
 
 def run_cli(capsys, *argv):
@@ -164,8 +165,9 @@ class TestTraceCommand:
         )
         assert code == 0
         obs_dir = cache_dir / "obs"
-        assert len(list(obs_dir.glob("*.trace.jsonl"))) == 3
-        assert len(list(obs_dir.glob("*.metrics.json"))) == 3
+        records = sorted(obs_dir.glob("*.trace.jsonl"))
+        assert len(records) == 3
+        assert all(read_run_record(r).metrics is not None for r in records)
 
         # explicit target
         code, out = run_cli(capsys, "trace", "summarize", str(obs_dir))
@@ -178,9 +180,10 @@ class TestTraceCommand:
         assert code == 0
         assert "events across 3 trace file(s)" in out
 
-        code, out = run_cli(capsys, "trace", "validate", str(obs_dir))
+        code, out = run_cli(capsys, "check", "trace", str(obs_dir))
         assert code == 0
-        assert "3 trace file(s) validate" in out
+        # Three run records plus the batch's lifecycle file.
+        assert "trace: OK (4 checked)" in out
 
     def test_trace_obs_dir_override(self, tmp_path, capsys):
         obs_dir = tmp_path / "elsewhere"
@@ -192,11 +195,12 @@ class TestTraceCommand:
         assert code == 0
         assert list(obs_dir.glob("*.trace.jsonl"))
 
-    def test_trace_validate_flags_schema_problems(self, tmp_path, capsys):
+    def test_check_trace_flags_schema_problems(self, tmp_path, capsys):
         bad = tmp_path / "bad.trace.jsonl"
         bad.write_text('{"t": 1.0, "type": "not.a.known.type"}\n')
-        code = main(["trace", "validate", str(bad)])
+        code, out = run_cli(capsys, "check", "trace", str(bad))
         assert code == 1
+        assert "CHK301" in out
 
     def test_trace_missing_target_errors(self, tmp_path, capsys):
         code = main(["trace", "summarize", str(tmp_path / "nope")])

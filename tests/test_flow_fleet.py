@@ -125,9 +125,7 @@ class TestFleetObs:
         spec = _small_spec()
         with obs.capture(trace=True, metrics=False, profile=False) as ses:
             result = run_fleet(spec)
-        path = ses.tracer.to_jsonl(
-            tmp_path / f"fleet-{result.spec_hash}.trace.jsonl"
-        )
+        path = ses.export(tmp_path / f"fleet-{result.spec_hash}.trace.jsonl")
         entries = build_timeline(path)
         assert entries, "fleet trace produced an empty timeline"
         labels = {entry["label"] for entry in entries}

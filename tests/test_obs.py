@@ -65,7 +65,7 @@ class TestTracer:
     def test_jsonl_roundtrip(self, tmp_path):
         tracer = obs.Tracer()
         tracer.emit("tcp.loss", t=1.5, conn="c", interface="lte")
-        path = tracer.to_jsonl(tmp_path / "t.trace.jsonl")
+        path = obs.write_run_record(tmp_path / "t.trace.jsonl", tracer)
         assert obs.read_jsonl(path) == tracer.events()
 
     def test_read_jsonl_rejects_malformed_lines(self, tmp_path):
@@ -73,6 +73,56 @@ class TestTracer:
         path.write_text('{"t": 1.0, "type": "tcp.loss"}\nnot-json\n')
         with pytest.raises(ValueError, match="bad.trace.jsonl:2"):
             obs.read_jsonl(path)
+
+
+class TestRunRecord:
+    EVENT = {"t": 1.5, "type": "tcp.loss", "conn": "c", "interface": "lte"}
+    STAMP = {"trace_id": "t1", "span_id": "s1"}
+
+    def test_roundtrip_with_trailing_records(self, tmp_path):
+        path = obs.write_run_record(
+            tmp_path / "r.trace.jsonl", events=[self.EVENT],
+            profile={"spans": []}, metrics={"counters": {"x": 1.0}},
+            stamp=self.STAMP,
+        )
+        lines = path.read_text().splitlines()
+        assert json.loads(lines[0]) == {**self.EVENT, **self.STAMP}
+        assert [json.loads(line).get("record") for line in lines] == [
+            None, "profile", "metrics"]
+        record = obs.read_run_record(path)
+        assert record.events == [{**self.EVENT, **self.STAMP}]
+        assert record.profile == {"spans": []}
+        assert record.metrics == {"counters": {"x": 1.0}}
+        assert record.stamp == ("t1", "s1")
+
+    def test_unstamped_events_only(self, tmp_path):
+        path = obs.write_run_record(tmp_path / "r.trace.jsonl", [self.EVENT])
+        record = obs.read_run_record(path)
+        assert record.events == [self.EVENT]
+        assert record.profile is None and record.metrics is None
+        assert record.stamp is None
+
+    def test_malformed_line_raises(self, tmp_path):
+        path = tmp_path / "bad.trace.jsonl"
+        path.write_text(json.dumps(self.EVENT) + "\nnot-json\n")
+        with pytest.raises(ValueError, match="bad.trace.jsonl:2"):
+            obs.read_run_record(path)
+
+    @pytest.mark.parametrize("lines", [
+        # an event after a trailing record
+        [{"record": "profile", "data": {}}, EVENT],
+        # a repeated trailing record
+        [{"record": "metrics", "data": {}}, {"record": "metrics", "data": {}}],
+        # an unknown trailing record
+        [{"record": "spans", "data": {}}],
+        # a trailing record without a data object
+        [{"record": "profile"}],
+    ])
+    def test_misplaced_or_unknown_records_raise(self, tmp_path, lines):
+        path = tmp_path / "bad.trace.jsonl"
+        path.write_text("".join(json.dumps(doc) + "\n" for doc in lines))
+        with pytest.raises(ValueError, match="bad.trace.jsonl"):
+            obs.read_run_record(path)
 
 
 class TestMetrics:
@@ -244,11 +294,11 @@ class TestRuntimeIntegration:
 
         stem = spec.content_hash()
         trace_path = tmp_path / "obs" / f"{stem}.trace.jsonl"
-        metrics_path = tmp_path / "obs" / f"{stem}.metrics.json"
-        assert trace_path.is_file() and metrics_path.is_file()
-        events = obs.read_jsonl(trace_path)
+        assert trace_path.is_file()
+        record = obs.read_run_record(trace_path)
+        events = record.events
         assert events and validate_events(events) == []
-        assert "counters" in json.loads(metrics_path.read_text())
+        assert "counters" in record.metrics
 
         entries = RunManifest.read(manifest_path)
         assert entries[0].outcome == "executed"
@@ -256,6 +306,54 @@ class TestRuntimeIntegration:
 
         summary = summarize_target(tmp_path / "obs")
         assert summary["files"] == {trace_path.name: len(events)}
+
+    def test_full_capture_leaves_one_file_per_run(self, tmp_path):
+        specs = [
+            RunSpec(
+                protocol=protocol,
+                builder="static",
+                kwargs={"good_wifi": False, "download_bytes": mib(1),
+                        "lte_mbps": 10.0},
+            )
+            for protocol in ("emptcp", "mptcp")
+        ]
+        options = obs.ObsOptions(dir=str(tmp_path / "obs"), trace=True,
+                                 metrics=True, profile=True)
+        run_many(specs, obs=options)
+        files = sorted(p.name for p in (tmp_path / "obs").iterdir())
+        lifecycle = [n for n in files if n.endswith(".lifecycle.jsonl")]
+        assert len(lifecycle) == 1
+        assert sorted(set(files) - set(lifecycle)) == sorted(
+            f"{spec.content_hash()}.trace.jsonl" for spec in specs)
+        for spec in specs:
+            record = obs.read_run_record(
+                tmp_path / "obs" / f"{spec.content_hash()}.trace.jsonl")
+            assert record.events and record.stamp is not None
+            assert record.profile["spans"] and "counters" in record.metrics
+
+    @pytest.mark.parametrize("capture", [
+        {"trace": False, "metrics": True},
+        {"trace": False, "profile": True},
+    ])
+    def test_manifest_names_the_record_in_every_capture_mode(
+        self, tmp_path, capture
+    ):
+        spec = RunSpec(
+            protocol="tcp-wifi",
+            builder="static",
+            kwargs={"good_wifi": True, "download_bytes": mib(1)},
+        )
+        options = obs.ObsOptions(dir=str(tmp_path / "obs"), **capture)
+        manifest_path = tmp_path / "run.jsonl"
+        with RunManifest(manifest_path) as manifest:
+            run_many([spec], manifest=manifest, obs=options)
+        entry = RunManifest.read(manifest_path)[0]
+        expected = tmp_path / "obs" / f"{spec.content_hash()}.trace.jsonl"
+        assert entry.trace == str(expected)
+        record = obs.read_run_record(expected)
+        assert record.events == []
+        assert (record.metrics is not None) == capture.get("metrics", False)
+        assert (record.profile is not None) == capture.get("profile", False)
 
     def test_run_many_pool_workers_export(self, tmp_path):
         specs = [

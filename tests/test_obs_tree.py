@@ -1,6 +1,6 @@
 """Cross-process span-tree reassembly (repro.obs.tree): lifecycle
-spans, stamped run traces, and profiler docs from one obs directory
-merge into a single batch tree.
+spans and stamped run records (events plus a trailing profile record)
+from one obs directory merge into a single batch tree.
 """
 
 import json
@@ -39,13 +39,14 @@ def _write_batch(obs_dir, trace_id="t1", with_exports=True):
                 for t in (0.0, 1.0, 2.0):
                     fh.write(json.dumps(
                         {"type": "tick", "t": t, **stamp}) + "\n")
-            (obs_dir / f"{spec_hash}.spans.json").write_text(json.dumps({
-                **stamp,
-                "spans": [
-                    {"path": "engine/step", "wall_s": 0.7},
-                    {"path": "engine/export", "wall_s": 0.1},
-                ],
-            }))
+                fh.write(json.dumps({
+                    "record": "profile",
+                    "data": {"spans": [
+                        {"path": "engine/step", "wall_s": 0.7},
+                        {"path": "engine/export", "wall_s": 0.1},
+                    ]},
+                    **stamp,
+                }) + "\n")
     recorder.record(dist.LifecycleSpan(
         trace_id, root, "", "batch", 1.0, 3.0,
         attrs={"batch": "b1", "jobs": 2}))

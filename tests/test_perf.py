@@ -12,6 +12,7 @@ from repro.check.perf import (
 )
 from repro.check.findings import Report
 from repro.cli import main
+from repro.obs.trace import read_run_record, write_run_record
 from repro.runtime import PerfMeter, PerfRecord, RunSpec
 from repro.runtime.manifest import RunManifest
 from repro.units import mib
@@ -160,10 +161,12 @@ class TestChk6xx:
         assert report.ok and report.checked >= 3
 
     def test_check_perf_target_on_files(self, tmp_path):
-        spans = tmp_path / "run.spans.json"
-        spans.write_text(json.dumps({"spans": [
+        write_run_record(tmp_path / "run.trace.jsonl", profile={"spans": [
             {"path": "root", "name": "root", "depth": 1, "count": 1,
-             "wall_s": 1.0, "sim_s": 1.0}]}))
+             "wall_s": 1.0, "sim_s": 1.0}]})
+        # A record captured without --profile has nothing to check.
+        write_run_record(tmp_path / "unprofiled.trace.jsonl", events=[
+            {"type": "tcp.loss", "t": 0.1, "conn": "c", "interface": "wifi"}])
         report = check_perf_target(tmp_path)
         assert report.ok and report.checked == 1
         # A run manifest: CHK601 over every line that carries a record.
@@ -176,20 +179,21 @@ class TestChk6xx:
             "CHK601"]
         manifest.write_text("{")
         assert not check_perf_target(manifest).ok
-        broken = tmp_path / "broken.spans.json"
+        broken = tmp_path / "broken.trace.jsonl"
         broken.write_text("{")
         assert not check_perf_target(broken).ok
 
 
 class TestTimeline:
     def test_timeline_merges_events_and_spans(self, tmp_path):
-        trace = tmp_path / "run.trace.jsonl"
-        trace.write_text(json.dumps(
-            {"type": "tcp.loss", "t": 1.5, "conn": "c", "interface": "wifi"}
-        ) + "\n")
-        (tmp_path / "run.spans.json").write_text(json.dumps({"spans": [
-            {"path": "sim.run", "count": 2, "wall_s": 0.001, "sim_s": 9.0,
-             "first_sim_t": 0.0}]}))
+        trace = write_run_record(
+            tmp_path / "run.trace.jsonl",
+            events=[{"type": "tcp.loss", "t": 1.5, "conn": "c",
+                     "interface": "wifi"}],
+            profile={"spans": [
+                {"path": "sim.run", "count": 2, "wall_s": 0.001,
+                 "sim_s": 9.0, "first_sim_t": 0.0}]},
+        )
         from repro.obs.summarize import build_timeline, format_timeline
 
         entries = build_timeline(trace)
@@ -258,7 +262,7 @@ class TestPerfCli:
             capsys, "trace", "summarise",
             "--cache-dir", str(tmp_path / "nonexistent"))
         assert code == 2
-        assert "summarize, validate, timeline, or tree" in err
+        assert "summarize, timeline, or tree" in err
 
     def test_trace_timeline_cli(self, capsys, tmp_path):
         trace = tmp_path / "run.trace.jsonl"
@@ -272,10 +276,10 @@ class TestPerfCli:
             capsys, "run", "emptcp", "good", "--size-mb", "1", "--runs", "1",
             "--trace", "--profile", "--cache-dir", str(tmp_path))
         assert code == 0
-        spans = list((tmp_path / "obs").glob("*.spans.json"))
-        assert len(spans) == 1
-        profile = json.loads(spans[0].read_text())
-        assert check_spans(profile).ok
+        records = list((tmp_path / "obs").glob("*.trace.jsonl"))
+        assert len(records) == 1
+        profile = read_run_record(records[0]).profile
+        assert profile is not None and check_spans(profile).ok
 
     def test_executed_runs_carry_perf_in_manifest(self, capsys, tmp_path):
         manifest_path = tmp_path / "m.jsonl"
