@@ -369,12 +369,13 @@ def _cmd_service(args) -> int:
     return 2
 
 
-def _service_obs_options(args) -> Optional[ObsOptions]:
-    """Per-run obs capture for the service, from the shared CLI flags.
+def _obs_options(args) -> Optional[ObsOptions]:
+    """Per-run obs capture from the shared ``--trace``/``--metrics``/
+    ``--profile`` flags (None when none is set).
 
-    Lifecycle spans and ``/v1/metrics`` are always on; this only governs
-    whether each executed run additionally exports trace/metrics/profile
-    files into the obs dir."""
+    For the service, lifecycle spans and ``/v1/metrics`` are always on;
+    this only governs whether each executed run additionally writes a
+    run record into the obs dir."""
     if not (args.trace or args.metrics or args.profile):
         return None
     return ObsOptions(dir=args.obs_dir, trace=args.trace,
@@ -387,7 +388,7 @@ def _service_serve(args) -> int:
     port = int(args.target) if args.target else 0
     with ExperimentService(
         Path(args.cache_dir), jobs=args.jobs, timeout_s=args.timeout,
-        obs=_service_obs_options(args),
+        obs=_obs_options(args),
     ) as service:
         server = serve_http(service, port=port)
         host, bound = server.server_address[0], server.server_address[1]
@@ -403,25 +404,19 @@ def _service_serve(args) -> int:
     return 0
 
 
-def _top_value(series: Dict[str, list], name: str) -> float:
-    """The first sample of one Prometheus series (0.0 when absent)."""
-    samples = series.get(name, [])
-    return samples[0][1] if samples else 0.0
-
-
-def _format_top(series: Dict[str, list], status: dict) -> str:
-    """One refresh of the ``service top`` dashboard."""
-    lines = []
-    uptime = _top_value(series, "repro_uptime_seconds")
-    batches = int(_top_value(series, "repro_batches_total"))
-    spans = int(_top_value(series, "repro_spans_recorded_total"))
-    lines.append(f"-- experiment service · up {uptime:.1f}s · "
-                 f"{batches} batch(es) · {spans} span(s) --")
+def _format_top(status: dict) -> str:
+    """One refresh of the ``service top`` dashboard, from one
+    ``/v1/status`` document."""
+    lines = [
+        f"-- experiment service · up {status.get('uptime_s', 0.0):.1f}s · "
+        f"{len(status.get('batches', {}))} batch(es) · "
+        f"{status.get('spans_recorded', 0)} span(s) --"
+    ]
     queue = status.get("queue", {})
     lines.append(
         f"queue: open {status.get('open_jobs', 0)}  "
         f"submitted {queue.get('submitted', 0)}  "
-        f"done {queue.get('done', 0)}  "
+        f"done {queue.get('completed', 0)}  "
         f"failed {queue.get('failed', 0)}  "
         f"deduped {queue.get('deduped', 0)}"
     )
@@ -438,11 +433,12 @@ def _format_top(series: Dict[str, list], status: dict) -> str:
                         "scheduler.timeouts", "scheduler.cache_hits")
         )
     )
-    ratio = _top_value(series, "repro_cache_hit_ratio")
-    entries = int(_top_value(series, "repro_store_entries"))
-    size_mb = _top_value(series, "repro_store_bytes") / 1e6
-    lines.append(f"cache: hit ratio {ratio:.2f} · store {entries} "
-                 f"entries / {size_mb:.2f} MB")
+    cache = status.get("cache", {})
+    lookups = cache.get("hits", 0) + cache.get("misses", 0)
+    ratio = cache.get("hits", 0) / lookups if lookups else 0.0
+    size_mb = cache.get("total_bytes", 0) / 1e6
+    lines.append(f"cache: hit ratio {ratio:.2f} · store "
+                 f"{cache.get('entries', 0)} entries / {size_mb:.2f} MB")
     ewma = status.get("events_per_sec_ewma")
     if ewma:
         lines.append(f"events/sec EWMA: {ewma:,.0f}")
@@ -450,12 +446,10 @@ def _format_top(series: Dict[str, list], status: dict) -> str:
 
 
 def _service_top(args) -> int:
-    """``service top <host:port|port>`` — poll ``/v1/metrics`` and
-    ``/v1/status`` of a running service, ``--runs`` refreshes."""
+    """``service top <host:port|port>`` — poll ``/v1/status`` of a
+    running service, ``--runs`` refreshes."""
     import time as _time
     import urllib.request
-
-    from repro.obs.prom import parse_prometheus
 
     if not args.target:
         print("usage: emptcp-repro service top <host:port | port> [--runs N]",
@@ -467,16 +461,13 @@ def _service_top(args) -> int:
         if cycle:
             _time.sleep(1.0)
         try:
-            with urllib.request.urlopen(f"{base}/v1/metrics",
-                                        timeout=10) as resp:
-                series = parse_prometheus(resp.read().decode())
             with urllib.request.urlopen(f"{base}/v1/status",
                                         timeout=10) as resp:
                 status = json.loads(resp.read().decode())
         except OSError as exc:
             print(f"error: cannot reach {base}: {exc}", file=sys.stderr)
             return 2
-        print(_format_top(series, status))
+        print(_format_top(status))
     return 0
 
 
@@ -835,19 +826,17 @@ def _cmd_fleet(args) -> int:
         return 2
     if sub == "run":
         spec = _fleet_spec(args)
-        if args.trace:
-            with obs.capture(trace=True, metrics=False, profile=False) as ses:
-                t0 = _time.perf_counter()
-                result = run_fleet(spec)
-                wall = _time.perf_counter() - t0
-            path = ses.export(
-                Path(args.obs_dir) / f"fleet-{result.spec_hash}.trace.jsonl"
-            )
-            print(f"trace written to {path}", file=sys.stderr)
-        else:
+        options = _obs_options(args)
+        with obs.capture(trace=args.trace, metrics=args.metrics,
+                         profile=args.profile) as session:
             t0 = _time.perf_counter()
             result = run_fleet(spec)
             wall = _time.perf_counter() - t0
+        if options is not None:
+            path = session.export(
+                Path(options.dir) / f"fleet-{result.spec_hash}.trace.jsonl"
+            )
+            print(f"run record written to {path}", file=sys.stderr)
         _print_fleet_result(result, wall)
         return 0
     counts = [int(c) for c in ([args.target] if args.target else []) + args.extra]
@@ -1113,14 +1102,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if show_progress is None:
         show_progress = args.command == "report" and sys.stderr.isatty()
 
-    obs_dir = args.obs_dir or str(Path(cache_dir) / "obs")
-    args.obs_dir = obs_dir
-    obs_options = (
-        ObsOptions(dir=obs_dir, trace=args.trace, metrics=args.metrics,
-                   profile=args.profile)
-        if (args.trace or args.metrics or args.profile)
-        else None
-    )
+    args.obs_dir = args.obs_dir or str(Path(cache_dir) / "obs")
 
     manifest = RunManifest(manifest_path) if manifest_path else None
     try:
@@ -1130,7 +1112,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             manifest=manifest,
             progress=auto_reporter(show_progress),
             timeout_s=args.timeout,
-            obs=obs_options,
+            obs=_obs_options(args),
         ):
             status = handler(args)
     except BrokenPipeError:  # piped into `head` etc.

@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.energy.device import DeviceProfile
 from repro.energy.efficiency import Strategy, per_byte_energy
 from repro.energy.power import Direction
+from repro.energy.serialization import profile_key
 from repro.errors import EnergyModelError
 from repro.net.interface import InterfaceKind
 
@@ -180,8 +181,10 @@ def cached_eib(
     direction: Direction = Direction.DOWN,
 ) -> EnergyInformationBase:
     """A process-wide cache of EIBs — they are pure functions of the
-    device profile, and building one scans a few hundred grid rows."""
-    key = (profile.name, cell_kind, direction)
+    device profile, and building one scans a few hundred grid rows.
+    Keyed on the profile's content, so two profiles that share a name
+    get their own tables."""
+    key = (profile_key(profile), cell_kind, direction)
     if key not in _EIB_CACHE:
         _EIB_CACHE[key] = EnergyInformationBase(profile, cell_kind, direction=direction)
     return _EIB_CACHE[key]

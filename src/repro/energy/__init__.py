@@ -35,6 +35,7 @@ from repro.energy.rrc import RrcMachine, RrcParams, RrcState
 from repro.energy.serialization import (
     profile_from_dict,
     profile_from_json,
+    profile_key,
     profile_to_dict,
     profile_to_json,
 )
@@ -62,6 +63,7 @@ __all__ = [
     "per_byte_energy",
     "profile_from_dict",
     "profile_from_json",
+    "profile_key",
     "profile_to_dict",
     "profile_to_json",
     "simulate_measurement_campaign",

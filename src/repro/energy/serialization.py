@@ -99,6 +99,13 @@ def profile_to_json(profile: DeviceProfile, indent: int = 2) -> str:
     return json.dumps(profile_to_dict(profile), indent=indent)
 
 
+def profile_key(profile: DeviceProfile) -> str:
+    """A content key for process caches of per-profile tables: two
+    profiles share it only when every field matches, not just the name
+    (``DeviceProfile`` holds mappings, so it is not hashable itself)."""
+    return json.dumps(profile_to_dict(profile), sort_keys=True)
+
+
 def profile_from_json(text: str) -> DeviceProfile:
     """Parse a profile from JSON text."""
     try:

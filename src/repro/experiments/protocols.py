@@ -29,6 +29,7 @@ from repro.core.eib import cached_eib
 from repro.core.emptcp import EMPTCPConnection
 from repro.energy.device import DeviceProfile
 from repro.energy.power import Direction
+from repro.energy.serialization import profile_key
 from repro.errors import ConfigurationError
 from repro.mptcp.connection import MptcpMode, MPTCPConnection
 from repro.net.interface import InterfaceKind
@@ -48,14 +49,15 @@ _POLICY_CACHE = {}
 def mdp_policy_for(
     profile: DeviceProfile, cell_kind, direction: Direction = Direction.DOWN
 ) -> MdpPolicy:
-    """Build (and cache) the offline MDP policy for a device profile —
-    the stand-in for Pluntke et al.'s cloud-computed schedule."""
+    """Build (and cache, keyed on the profile's content) the offline
+    MDP policy for a device profile — the stand-in for Pluntke et al.'s
+    cloud-computed schedule."""
     if direction is not Direction.DOWN:
         raise ConfigurationError(
             "the offline MDP policy is computed for downloads only; "
             f"direction {direction.value!r} has no precomputed schedule"
         )
-    key = (profile.name, cell_kind, direction)
+    key = (profile_key(profile), cell_kind, direction)
     if key not in _POLICY_CACHE:
         _POLICY_CACHE[key] = MdpPolicy(
             profile, MDP_LEVELS, MDP_LEVELS, cell_kind=cell_kind

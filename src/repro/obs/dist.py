@@ -20,12 +20,11 @@ missing identity layer:
   root, per-job span, queue wait, execution attempt) serialized as a
   JSON line into ``<trace_id>.lifecycle.jsonl`` next to the existing
   run exports.
-* :class:`SpanRecorder` — the thread-safe sink: JSONL persistence plus
-  a bounded in-memory *flight ring* that can be dumped to disk when a
-  job fails or times out (``flight-<reason>.jsonl``).
+* :class:`SpanRecorder` — the thread-safe sink that appends each span
+  to its trace's lifecycle file.
 
 The module is deliberately **pure**: it never reads a clock.  Callers
-(scheduler, service, executor) pass timestamps in, sourced from the
+(the scheduler and the runtime's batch) pass timestamps in, sourced from the
 replayable :mod:`repro.runtime.clock` seam; keeping the clock out of
 this module both satisfies the determinism tiers and avoids an
 ``obs -> runtime`` import cycle.
@@ -36,19 +35,12 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Deque, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Union
 
 #: File suffix of per-trace lifecycle span exports.
 LIFECYCLE_SUFFIX = ".lifecycle.jsonl"
-
-#: File-name prefix of flight-recorder dumps.
-FLIGHT_PREFIX = "flight-"
-
-#: Default capacity of the flight-recorder ring.
-DEFAULT_FLIGHT_RING = 512
 
 #: Canonical span names, root to leaf.
 SPAN_BATCH = "batch"
@@ -186,25 +178,18 @@ class LifecycleSpan:
 
 
 class SpanRecorder:
-    """Thread-safe lifecycle-span sink plus flight-recorder ring.
+    """Thread-safe lifecycle-span sink.
 
-    Spans go two places: appended as JSON lines to
-    ``<sink_dir>/<trace_id>.lifecycle.jsonl`` (the first span of a
+    Spans are appended as JSON lines to
+    ``<sink_dir>/<trace_id>.lifecycle.jsonl``; the first span of a
     trace *truncates* the file, so re-running an identical batch —
     same deterministic trace id — replaces the old spans instead of
-    accumulating duplicates), and into a bounded in-memory ring that
-    :meth:`dump_flight` snapshots to disk when a job fails or times
-    out.  Disk errors are swallowed: observability must never take the
-    scheduler down.
+    accumulating duplicates.  Disk errors are counted and swallowed:
+    observability must never take the scheduler down.
     """
 
-    def __init__(
-        self,
-        sink_dir: Optional[Union[str, Path]] = None,
-        ring_size: int = DEFAULT_FLIGHT_RING,
-    ):
-        self.sink_dir = Path(sink_dir) if sink_dir is not None else None
-        self._ring: Deque[LifecycleSpan] = deque(maxlen=max(1, ring_size))
+    def __init__(self, sink_dir: Union[str, Path]):
+        self.sink_dir = Path(sink_dir)
         self._lock = threading.Lock()
         #: Trace ids whose lifecycle file this instance already opened
         #: (truncated); later spans of the same trace append.
@@ -215,9 +200,8 @@ class SpanRecorder:
     def record(self, span: LifecycleSpan) -> None:
         line = json.dumps(span.to_dict(), sort_keys=True)
         with self._lock:
-            self._ring.append(span)
             self.recorded += 1
-            if self.sink_dir is None or not span.trace_id:
+            if not span.trace_id:
                 return
             mode = "a" if span.trace_id in self._started else "w"
             try:
@@ -229,35 +213,6 @@ class SpanRecorder:
                 self.dropped_writes += 1
                 return
             self._started.add(span.trace_id)
-
-    def tail(self, count: Optional[int] = None) -> List[LifecycleSpan]:
-        """Most recent spans in the ring, oldest first."""
-        with self._lock:
-            spans = list(self._ring)
-        return spans if count is None else spans[-count:]
-
-    def dump_flight(
-        self, out_dir: Union[str, Path], reason: str, t: float
-    ) -> Optional[Path]:
-        """Write the current ring to ``flight-<reason>.jsonl`` under
-        ``out_dir``; first line is a header with the reason and dump
-        time.  Returns the path, or None if the write failed."""
-        spans = self.tail()
-        safe = "".join(
-            ch if ch.isalnum() or ch in "-._" else "-" for ch in reason
-        )
-        path = Path(out_dir) / f"{FLIGHT_PREFIX}{safe}.jsonl"
-        header = {"reason": reason, "t": t, "spans": len(spans)}
-        try:
-            Path(out_dir).mkdir(parents=True, exist_ok=True)
-            with open(path, "w") as fh:
-                fh.write(json.dumps(header, sort_keys=True) + "\n")
-                for span in spans:
-                    fh.write(json.dumps(span.to_dict(), sort_keys=True) + "\n")
-        except OSError:
-            self.dropped_writes += 1
-            return None
-        return path
 
 
 def read_lifecycle(path: Union[str, Path]) -> List[LifecycleSpan]:
@@ -310,8 +265,6 @@ def load_spans(
 
 
 __all__ = [
-    "DEFAULT_FLIGHT_RING",
-    "FLIGHT_PREFIX",
     "LIFECYCLE_SUFFIX",
     "LifecycleSpan",
     "SPAN_BATCH",

@@ -8,9 +8,8 @@ and summaries (quantile-labelled samples plus ``_sum``/``_count``).
 Output is deterministic — families sorted by name, label sets sorted
 by label name — so a golden-file test can pin the format.
 
-:func:`parse_prometheus` is the matching reader used by
-``service top`` and the smoke tests; it handles exactly what
-:func:`render_prometheus` writes.
+:func:`parse_prometheus` is the matching reader used by the smoke
+tests; it handles exactly what :func:`render_prometheus` writes.
 """
 
 from __future__ import annotations

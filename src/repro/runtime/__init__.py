@@ -16,6 +16,10 @@ sit behind the :func:`run_many` facade:
 * :mod:`repro.runtime.service` — the stdlib HTTP/JSONL experiment
   service (submit/stream/status) plus the sweep-DAG planner.
 
+Both front-ends, :func:`run_many` and the service, submit through one
+:class:`~repro.runtime.batch.Batch`: verification, the trace root,
+per-index outcomes and the batch-root span live there.
+
 Supporting cast, unchanged in spirit:
 
 * :mod:`repro.runtime.spec` — picklable :class:`RunSpec`s with stable
@@ -41,6 +45,7 @@ Typical use::
         results = run_many(specs)
 """
 
+from repro.runtime.batch import Batch
 from repro.runtime.cache import DEFAULT_CACHE_ROOT, CacheStats, ResultCache
 from repro.runtime.executor import (
     RuntimeContext,
@@ -59,12 +64,7 @@ from repro.runtime.manifest import (
 from repro.runtime.perf import PerfMeter, PerfRecord
 from repro.runtime.progress import ProgressReporter, ProgressSnapshot
 from repro.runtime.queue import Job, JobQueue, QueueStats
-from repro.runtime.scheduler import (
-    BatchSink,
-    RetryPolicy,
-    Scheduler,
-    TimeoutPolicy,
-)
+from repro.runtime.scheduler import RetryPolicy, Scheduler, TimeoutPolicy
 from repro.runtime.service import ExperimentService, SweepPlan, plan_sweep
 from repro.runtime.spec import (
     BuilderEntry,
@@ -80,7 +80,7 @@ from repro.runtime.spec import (
 from repro.runtime.store import SegmentStore, StoreTelemetry
 
 __all__ = [
-    "BatchSink",
+    "Batch",
     "BuilderEntry",
     "CacheStats",
     "DEFAULT_CACHE_ROOT",

@@ -4,13 +4,14 @@
 :class:`~repro.runtime.spec.RunSpec`s and returns their results in
 order.  Since the runtime split it is deliberately thin: it resolves
 the ambient :class:`RuntimeContext`, statically verifies the batch,
-submits every spec into a :class:`~repro.runtime.queue.JobQueue`
-(where identical spec hashes coalesce into one job with many waiters),
-and hands the queue to a :class:`~repro.runtime.scheduler.Scheduler`.
-Cache lookup, pool management, timeouts, retries, and the serial
-fallback all live behind the scheduler; manifest lines, progress
-counting, and result ordering live in the
-:class:`~repro.runtime.scheduler.BatchSink`.
+submits it as a :class:`~repro.runtime.batch.Batch` into a
+:class:`~repro.runtime.queue.JobQueue` (where identical spec hashes
+coalesce into one job with many waiters), and hands the queue to a
+:class:`~repro.runtime.scheduler.Scheduler`.  Cache lookup, pool
+management, timeouts, retries, and the serial fallback all live behind
+the scheduler; per-index outcomes, result ordering and the batch-root
+span live in the batch.  What is left here is what ``run_many`` does
+with a settled run: one manifest line and one progress tick.
 
 Experiment modules call :func:`run_specs`, which executes under the
 *ambient* :class:`RuntimeContext` — serial and uncached by default, so
@@ -31,13 +32,12 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 from repro import obs as _obs
 from repro.errors import ConfigurationError, ExecutionError
 from repro.obs import dist as _dist
-from repro.runtime import clock
+from repro.runtime.batch import Batch, verify_batch
 from repro.runtime.cache import ResultCache
 from repro.runtime.manifest import RunManifest
 from repro.runtime.progress import auto_reporter
-from repro.runtime.queue import JobQueue
+from repro.runtime.queue import Job, JobQueue
 from repro.runtime.scheduler import (
-    BatchSink,
     RetryPolicy,
     Scheduler,
     TimeoutPolicy,
@@ -175,7 +175,7 @@ def run_many(
 
     specs = list(specs)
     if verify:
-        _verify_before_dispatch(specs)
+        verify_batch(specs)
 
     scheduler = Scheduler(
         jobs=jobs,
@@ -186,70 +186,67 @@ def run_many(
         obs=obs,
         cache=cache,
     )
-    sink = BatchSink(
-        specs, manifest=manifest, reporter=auto_reporter(progress)
-    )
-    # Distributed tracing: one deterministic trace per batch content
-    # (no salt — re-running an identical batch reuses its trace and the
-    # recorder replaces the old lifecycle file).  Only active when obs
-    # capture is on, so the disabled path pays nothing.
-    hashes = [spec.content_hash() for spec in specs]
-    root_ctx: Optional[_dist.TraceContext] = None
+    # Lifecycle spans only when obs capture is on, so the disabled path
+    # pays nothing.
     if obs is not None and obs.enabled:
-        root_ctx = _dist.root_context(hashes)
-        scheduler.recorder = _dist.SpanRecorder(sink_dir=Path(obs.dir))
-        scheduler.flight_dir = (
-            manifest.path.parent if manifest is not None else Path(obs.dir)
-        )
-    batch_start = clock.now()
-    queue = JobQueue(journal=journal)
-    try:
-        for index, spec in enumerate(specs):
-            ctx = (
-                root_ctx.child(_dist.SPAN_JOB, hashes[index])
-                if root_ctx is not None
-                else None
-            )
-            job, _ = queue.submit(spec, on_done=sink.on_terminal, ctx=ctx)
-            sink.register(index, job)
-        scheduler.run_batch(queue, sink)
-    finally:
-        if root_ctx is not None and scheduler.recorder is not None:
-            scheduler.recorder.record(_dist.LifecycleSpan(
-                trace_id=root_ctx.trace_id,
-                span_id=root_ctx.span_id,
-                parent_span_id="",
-                name=_dist.SPAN_BATCH,
-                start_t=batch_start,
-                end_t=clock.now(),
-                status="failed" if sink.failures else "ok",
-                attrs={"jobs": len(specs)},
-            ))
-        queue.close()
+        scheduler.recorder = _dist.SpanRecorder(Path(obs.dir))
+    reporter = auto_reporter(progress)
 
-    if sink.failures:
-        failures = sorted(sink.failures, key=lambda pair: pair[0])
+    def settle(index: int, outcome: str, job: Job) -> None:
+        if manifest is not None:
+            _record(manifest, specs[index], outcome, job)
+        if reporter is not None:
+            reporter.update(outcome)
+
+    def retried(job: Job, wall_s: float) -> None:
+        if manifest is not None:
+            _record(manifest, job.spec, "retried", job, wall_s)
+
+    batch = Batch(specs, scheduler, on_settle=settle)
+    queue = JobQueue(journal=journal)
+    if reporter is not None:
+        reporter.start(len(specs))
+    try:
+        batch.submit(queue)
+        scheduler.run_batch(queue, on_retry=retried)
+    finally:
+        queue.close()
+        if reporter is not None:
+            reporter.finish()
+
+    if batch.failures:
+        failures = sorted(batch.failures, key=lambda pair: pair[0])
         first_index, first_exc = failures[0]
         raise ExecutionError(
             f"{len(failures)} of {len(specs)} runs failed; first: "
             f"{specs[first_index].label}: {first_exc}"
         ) from first_exc
-    return sink.results
+    return batch.results
 
 
-def _verify_before_dispatch(specs: Sequence[RunSpec]) -> None:
-    """Apply the Tier-2 static verifier to a batch before any run.
-
-    Only error-severity findings refuse the batch; warnings (e.g.
-    EMPTCPConfig-shaped overrides on a custom builder) are ignored
-    here and surfaced by ``repro check config`` instead.
-    """
-    from repro.check.config import verify_specs
-
-    report = verify_specs(specs)
-    if not report.ok:
-        raise ConfigurationError(
-            "pre-dispatch verification failed:\n"
-            + "\n".join(f.format() for f in report.sorted_findings()
-                        if f.severity.value == "error")
+def _record(
+    manifest: RunManifest,
+    spec: RunSpec,
+    outcome: str,
+    job: Job,
+    wall_s: float = 0.0,
+) -> None:
+    """One manifest line for ``spec``, stamped with its job span's
+    ``(trace_id, span_id)`` ("" pair when tracing is off)."""
+    stamp = {
+        "trace_id": str(getattr(job.ctx, "trace_id", "")),
+        "span_id": str(getattr(job.ctx, "span_id", "")),
+    }
+    if outcome == "deduped":
+        manifest.record(spec, outcome, worker="dedup", **stamp)
+    elif outcome == "retried":
+        manifest.record(
+            spec, outcome, wall_time_s=wall_s, worker=job.worker or "local",
+            attempt=job.attempts, **stamp,
+        )
+    else:
+        manifest.record(
+            spec, outcome, wall_time_s=job.wall_s,
+            worker=job.worker or "local", attempt=max(1, job.attempts),
+            trace=job.trace, perf=job.perf, **stamp,
         )

@@ -88,8 +88,8 @@ class Job:
     #: job re-executes without spans rather than fabricating them).
     ctx: Optional[Any] = None
     #: Callbacks fired (outside the queue lock) when the job reaches a
-    #: terminal state; late subscribers to an already-terminal job fire
-    #: immediately.
+    #: terminal state; :meth:`JobQueue.subscribe` refuses a job that
+    #: already is, and its caller fires the callback itself.
     callbacks: List[Callable[["Job"], None]] = field(default_factory=list)
 
     @property
@@ -173,20 +173,17 @@ class JobQueue:
         spec: RunSpec,
         priority: int = 0,
         after: Iterable[str] = (),
-        on_done: Optional[Callable[[Job], None]] = None,
         ctx: Optional[Any] = None,
     ) -> Tuple[Job, bool]:
         """Enqueue ``spec`` (or join the existing job for its hash).
 
         Returns ``(job, fresh)`` — ``fresh`` is False when the spec
-        coalesced into an already-queued (or already-finished) job.
-        ``on_done`` fires once the job is terminal; if it already is,
-        the callback fires before this call returns.  ``ctx`` attaches
-        a trace context; on dedup the first submitter's context wins
-        (its batch owns the span) unless none was attached yet.
+        coalesced into an already-queued (or already-finished) job;
+        :meth:`subscribe` to hear of its terminal transition.  ``ctx``
+        attaches a trace context; on dedup the first submitter's context
+        wins (its batch owns the span) unless none was attached yet.
         """
         spec_hash = spec.content_hash()
-        fire_now: Optional[Job] = None
         with self._lock:
             job = self._jobs.get(spec_hash)
             if job is not None:
@@ -195,33 +192,20 @@ class JobQueue:
                     job.ctx = ctx
                 self._stats["deduped"] += 1
                 self._journal("dedup", job)
-                if on_done is not None:
-                    if job.terminal:
-                        fire_now = job
-                    elif on_done not in job.callbacks:
-                        # The same subscriber (e.g. one batch's sink)
-                        # joining a job twice must still fire once.
-                        job.callbacks.append(on_done)
-                fresh = False
-            else:
-                job = Job(
-                    spec=spec,
-                    spec_hash=spec_hash,
-                    priority=priority,
-                    after=tuple(dict.fromkeys(after)),
-                    submitted_at=clock.now(),
-                    ctx=ctx,
-                )
-                if on_done is not None:
-                    job.callbacks.append(on_done)
-                self._jobs[spec_hash] = job
-                self._stats["submitted"] += 1
-                self._journal("submit", job)
-                self._index_ready_locked(job)
-                fresh = True
-        if fire_now is not None and on_done is not None:
-            on_done(fire_now)
-        return job, fresh
+                return job, False
+            job = Job(
+                spec=spec,
+                spec_hash=spec_hash,
+                priority=priority,
+                after=tuple(dict.fromkeys(after)),
+                submitted_at=clock.now(),
+                ctx=ctx,
+            )
+            self._jobs[spec_hash] = job
+            self._stats["submitted"] += 1
+            self._journal("submit", job)
+            self._index_ready_locked(job)
+            return job, True
 
     def _index_ready_locked(self, job: Job) -> None:
         """Heap-push ``job`` if every dependency is terminal; otherwise

@@ -24,10 +24,11 @@ This module is the execution half of the runtime split (the
   :meth:`Scheduler.stop`, woken at once by :meth:`Scheduler.kick`.
 
 The dispatcher thread does all of the scheduler's bookkeeping — cache
-reads and writes, the telemetry log, manifest and progress sinks,
-metrics and lifecycle spans — so those structures, which have no locks of
-their own, never see two scheduler threads at once.  The queue is
-shared with submitting threads, and it locks internally.
+reads and writes, metrics and lifecycle spans — so those structures,
+which have no locks of their own, never see two scheduler threads at
+once.  The queue is shared with submitting threads, and it locks
+internally; its terminal callbacks are how each
+:class:`~repro.runtime.batch.Batch` settles its spec indices.
 
 Warm pools are safe only where workers inherit every builder the specs
 name: the pools fork from the submitting process, so a *scratch*
@@ -50,8 +51,9 @@ batch's deterministic trace id, with each run record stamped
 with the executing attempt's ``(trace_id, span_id)``.  A
 :class:`~repro.obs.metrics.MetricsRegistry` on the scheduler counts
 retries/timeouts/crashes/cache hits for the service's ``/v1/metrics``
-plane, and on terminal failure the recorder's flight ring is dumped
-into ``flight_dir``.
+plane.  A terminal failure stays visible as the failed ``job`` span
+(its exec span says ``error``, ``timeout`` or ``crashed``), the
+manifest's ``failed`` line and ``scheduler.jobs_failed``.
 """
 
 from __future__ import annotations
@@ -74,24 +76,14 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import obs as _obs
 from repro.obs import dist as _dist
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime import clock
 from repro.runtime.cache import ResultCache
-from repro.runtime.manifest import RunManifest
 from repro.runtime.perf import PerfMeter
-from repro.runtime.progress import ProgressReporter
 from repro.runtime.queue import PENDING, Job, JobQueue
 from repro.runtime.spec import RunSpec, get_builder
 
@@ -426,109 +418,6 @@ class _Attempt:
     generation: int = 0
 
 
-class BatchSink:
-    """Resolves job outcomes back onto one batch's spec indices.
-
-    Several indices of a batch may share one queue job (spec-hash
-    dedup): the first index records the job's own outcome
-    ("executed"/"cached"), every further index records "deduped", and
-    all of them receive the same result object.
-    """
-
-    def __init__(
-        self,
-        specs: Sequence[RunSpec],
-        manifest: Optional[RunManifest] = None,
-        reporter: Optional[ProgressReporter] = None,
-    ):
-        self.specs = list(specs)
-        self.manifest = manifest
-        self.reporter = reporter
-        self.results: List[Any] = [None] * len(self.specs)
-        self.failures: List[Tuple[int, BaseException]] = []
-        self._indices: Dict[str, List[int]] = {}
-
-    def register(self, index: int, job: Job) -> None:
-        self._indices.setdefault(job.spec_hash, []).append(index)
-
-    def start(self) -> None:
-        if self.reporter is not None:
-            self.reporter.start(len(self.specs))
-
-    def finish(self) -> None:
-        if self.reporter is not None:
-            self.reporter.finish()
-
-    def _record(
-        self,
-        spec: RunSpec,
-        outcome: str,
-        wall_time_s: float = 0.0,
-        worker: str = "local",
-        attempt: int = 1,
-        trace: str = "",
-        perf: Optional[Dict[str, Any]] = None,
-        trace_id: str = "",
-        span_id: str = "",
-    ) -> None:
-        if self.manifest is not None:
-            self.manifest.record(
-                spec, outcome, wall_time_s=wall_time_s, worker=worker,
-                attempt=attempt, trace=trace, perf=perf,
-                trace_id=trace_id, span_id=span_id,
-            )
-        if self.reporter is not None:
-            self.reporter.update(outcome)
-
-    @staticmethod
-    def _job_stamp(job: Job) -> Tuple[str, str]:
-        """The job span's ``(trace_id, span_id)`` for manifest lines
-        ("" pair when tracing is off)."""
-        ctx = job.ctx
-        trace_id = getattr(ctx, "trace_id", "") if ctx is not None else ""
-        span_id = getattr(ctx, "span_id", "") if ctx is not None else ""
-        return str(trace_id), str(span_id)
-
-    def on_retried(self, job: Job, wall_s: float = 0.0) -> None:
-        trace_id, span_id = self._job_stamp(job)
-        self._record(
-            job.spec, "retried", wall_time_s=wall_s,
-            worker=job.worker or "local", attempt=job.attempts,
-            trace_id=trace_id, span_id=span_id,
-        )
-
-    def on_terminal(self, job: Job) -> None:
-        indices = self._indices.get(job.spec_hash, [])
-        trace_id, span_id = self._job_stamp(job)
-        if job.state == "done":
-            for order, index in enumerate(indices):
-                self.results[index] = job.result
-                if order == 0:
-                    self._record(
-                        self.specs[index], job.outcome,
-                        wall_time_s=job.wall_s, worker=job.worker or "local",
-                        attempt=max(1, job.attempts), trace=job.trace,
-                        perf=job.perf, trace_id=trace_id, span_id=span_id,
-                    )
-                else:
-                    self._record(
-                        self.specs[index], "deduped", worker="dedup",
-                        trace_id=trace_id, span_id=span_id,
-                    )
-        else:
-            error = job.error if job.error is not None else RuntimeError(
-                f"{job.spec.label} failed"
-            )
-            for index in indices:
-                self.failures.append((index, error))
-                self._record(
-                    self.specs[index], "failed", wall_time_s=job.wall_s,
-                    worker=job.worker or "local",
-                    attempt=max(1, job.attempts),
-                    trace_id=trace_id, span_id=span_id,
-                )
-
-
 class Scheduler:
     """Drains a :class:`~repro.runtime.queue.JobQueue` through worker
     pools; owns the result cache and its telemetry on that path."""
@@ -558,9 +447,6 @@ class Scheduler:
         #: Lifecycle-span sink (None = tracing off).  The executor and
         #: the service attach one.
         self.recorder: Optional[_dist.SpanRecorder] = None
-        #: Where the flight ring is dumped on terminal failure/timeout
-        #: (the manifest directory, typically).
-        self.flight_dir: Optional[Path] = None
         #: Live counters for the service metrics plane.  Pre-registered
         #: so every scrape sees the full series set from the start.
         self.metrics = MetricsRegistry()
@@ -668,17 +554,6 @@ class Scheduler:
             },
         ))
 
-    def _dump_flight(self, job: Job, reason: str) -> None:
-        """Snapshot the flight ring next to the manifest when a job
-        fails terminally — the black box for post-mortems."""
-        if self.recorder is None or self.flight_dir is None:
-            return
-        self.recorder.dump_flight(
-            self.flight_dir,
-            reason=f"{reason}-{job.spec_hash[:12]}",
-            t=clock.now(),
-        )
-
     def _mark_cached(self, job: Job, hit: Any, queue: JobQueue) -> None:
         """Settle a cache hit with the same span topology as an
         executed job (wait + terminal; no exec span — nothing ran)."""
@@ -720,19 +595,20 @@ class Scheduler:
     # -- batch entry points -----------------------------------------
 
     def run_batch(
-        self, queue: JobQueue, sink: Optional[BatchSink] = None
+        self,
+        queue: JobQueue,
+        on_retry: Optional[Callable[[Job, float], None]] = None,
     ) -> None:
         """Drive ``queue`` to completion on the calling thread.
 
         The pool is built per call, sized to the actual cache misses
         (a fully-cached batch never forks a worker), and torn down
         afterwards — see the module docstring for why a warm pool is
-        reserved for the service.
+        reserved for the service.  ``on_retry(job, wall_s)`` hears of
+        every attempt that is retried.
         """
-        if sink is not None:
-            sink.start()
+        self.on_retry = on_retry
         try:
-            self.on_retry = sink.on_retried if sink is not None else None
             self.resolve_cached(queue)
             misses = queue.open_jobs()
             if misses > 0:
@@ -743,9 +619,6 @@ class Scheduler:
                     pool.close()
         finally:
             self.on_retry = None
-            self.flush_telemetry(queue)
-            if sink is not None:
-                sink.finish()
 
     def serve(self, queue: JobQueue) -> None:
         """Dispatch on the calling thread until :meth:`stop`, with one
@@ -871,9 +744,7 @@ class Scheduler:
             if not self.retry.should_retry(job.attempts):
                 if not crashed:
                     job.wall_s = wall
-                self._fail_job(
-                    job, queue, exc, "crash" if crashed else "timeout"
-                )
+                self._fail_job(job, queue, exc)
                 return None
             if self.on_retry is not None:
                 self.on_retry(job, wall)
@@ -892,7 +763,7 @@ class Scheduler:
                 job, attempt.exec_ctx, attempt.span_start, "error",
                 pool.name, pool.name,
             )
-            self._fail_job(job, queue, exc, "error")
+            self._fail_job(job, queue, exc)
             return None
         self._record_exec(
             job, attempt.exec_ctx, attempt.span_start, "ok", worker, pool.name
@@ -901,11 +772,10 @@ class Scheduler:
         return None
 
     def _fail_job(
-        self, job: Job, queue: JobQueue, exc: BaseException, reason: str
+        self, job: Job, queue: JobQueue, exc: BaseException
     ) -> None:
         self.metrics.counter("scheduler.jobs_failed").inc()
         self._record_job_span(job, "failed", "failed")
-        self._dump_flight(job, reason)
         queue.mark_failed(job, exc)
 
     def _finish_job(
@@ -939,7 +809,6 @@ class Scheduler:
 
 __all__ = [
     "POOL_UNAVAILABLE",
-    "BatchSink",
     "InlineWorkerPool",
     "ProcessWorkerPool",
     "RetryPolicy",

@@ -24,8 +24,11 @@ one execution and two streamed results).
   counters, cache hit ratio, events/sec EWMA, store gauges);
 * ``POST /v1/shutdown`` — drain and stop.
 
-Every batch gets a deterministic distributed-trace id (salted with the
-batch id); job/queue-wait/exec lifecycle spans land as
+Each submission is a :class:`~repro.runtime.batch.Batch`, the same
+type :func:`~repro.runtime.executor.run_many` submits through; the
+service adds only what a settled index becomes here, one JSONL stream
+event.  Every batch gets a deterministic distributed-trace id (salted
+with the batch id); job/queue-wait/exec lifecycle spans land as
 ``<trace_id>.lifecycle.jsonl`` under the obs dir, reassembled by
 ``emptcp-repro trace tree`` — see docs/OBSERVABILITY.md.
 
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from queue import Empty, Queue as _EventQueue
@@ -52,6 +55,7 @@ from repro.obs import ObsOptions
 from repro.obs import dist as _dist
 from repro.obs.prom import MetricFamily, registry_families, render_prometheus
 from repro.runtime import clock
+from repro.runtime.batch import Batch, verify_batch
 from repro.runtime.cache import DEFAULT_CACHE_ROOT, ResultCache
 from repro.runtime.queue import Job, JobQueue
 from repro.runtime.scheduler import RetryPolicy, Scheduler, TimeoutPolicy
@@ -136,53 +140,14 @@ def plan_sweep(request: Dict[str, Any]) -> SweepPlan:
     return SweepPlan(jobs=tuple(jobs))
 
 
-@dataclass
-class _Batch:
-    """Server-side bookkeeping for one submitted batch."""
-
-    batch_id: str
-    labels: List[str]
-    hashes: List[str]
-    created_t: float
-    trace_id: str = ""
-    events: "_EventQueue[Dict[str, Any]]" = field(
-        default_factory=_EventQueue
-    )
-    outcomes: Dict[str, int] = field(default_factory=dict)
-    #: Job events counted into ``outcomes`` (the callback that counts
-    #: the last one closes the batch-root lifecycle span).
-    counted: int = 0
-    #: Job events enqueued on ``events``; ``done`` turns true under the
-    #: service lock together with the last enqueue.
-    finished: int = 0
-
-    @property
-    def total(self) -> int:
-        return len(self.labels)
-
-    @property
-    def done(self) -> bool:
-        return self.finished >= self.total
-
-    def describe(self) -> Dict[str, Any]:
-        return {
-            "batch": self.batch_id,
-            "total": self.total,
-            "finished": self.finished,
-            "outcomes": dict(self.outcomes),
-            "done": self.done,
-            "trace_id": self.trace_id,
-        }
-
-
 class ExperimentService:
     """The long-lived runtime: journalled queue + warm scheduler.
 
     Thread model: HTTP handler threads call :meth:`submit_batch` /
     :meth:`stream_batch` / :meth:`status`; the scheduler's dispatcher
-    loop runs on a background thread; the queue mediates (it is the
-    only structure both sides touch, and it locks internally).  The
-    result cache is touched only from the scheduler side.
+    loop runs on a background thread; the queue and each batch mediate
+    (they are the structures both sides touch, and each locks
+    internally).
     """
 
     def __init__(
@@ -218,10 +183,11 @@ class ExperimentService:
             cache=self.cache,
         )
         self.scheduler.recorder = self.recorder
-        self.scheduler.flight_dir = self.cache_dir / "flight"
         self._thread: Optional[threading.Thread] = None
         self._lock = threading.Lock()
-        self._batches: Dict[str, _Batch] = {}
+        self._batches: Dict[str, Batch] = {}
+        #: Each batch's job events, drained by :meth:`stream_batch`.
+        self._events: Dict[str, "_EventQueue[Dict[str, Any]]"] = {}
         self._batch_seq = 0
         self._started_t = 0.0
 
@@ -257,147 +223,53 @@ class ExperimentService:
 
     # -- submission -------------------------------------------------
 
-    def _parse_specs(self, spec_dicts: List[Dict[str, Any]]) -> List[RunSpec]:
-        specs = [RunSpec.from_dict(doc) for doc in spec_dicts]
-        if not specs:
-            raise ConfigurationError("batch has no specs")
-        if self.verify:
-            from repro.check.config import verify_specs
-
-            report = verify_specs(specs)
-            if not report.ok:
-                raise ConfigurationError(
-                    "batch rejected by pre-dispatch verification:\n"
-                    + "\n".join(
-                        f.format()
-                        for f in report.sorted_findings()
-                        if f.severity.value == "error"
-                    )
-                )
-        return specs
-
     def _submit(
         self,
         specs: List[RunSpec],
         priority: int = 0,
         after: Optional[List[Tuple[str, ...]]] = None,
     ) -> Dict[str, Any]:
+        events: "_EventQueue[Dict[str, Any]]" = _EventQueue()
+
+        def emit(index: int, outcome: str, job: Job) -> None:
+            events.put(_job_event(batch, index, outcome, job))
+
         with self._lock:
             self._batch_seq += 1
             batch_id = f"b{self._batch_seq:05d}"
-            hashes = [spec.content_hash() for spec in specs]
             # Salted with the batch id: resubmitting the same specs in
             # a later batch gets its own trace (cross-batch dedup means
             # the later trace may have no exec spans — the first batch
             # owns the execution).
-            root_ctx = _dist.root_context(hashes, salt=batch_id)
-            batch = _Batch(
-                batch_id=batch_id,
-                labels=[spec.label for spec in specs],
-                hashes=hashes,
-                created_t=clock.now(),
-                trace_id=root_ctx.trace_id,
+            batch = Batch(
+                specs, self.scheduler, on_settle=emit, batch_id=batch_id
             )
-            self._batches[batch.batch_id] = batch
-        fresh_count = 0
-        for index, spec in enumerate(specs):
-            deps = after[index] if after is not None else ()
-            job, fresh = self.queue.submit(
-                spec, priority=priority, after=deps,
-                ctx=root_ctx.child(_dist.SPAN_JOB, batch.hashes[index]),
-            )
-            fresh_count += 1 if fresh else 0
-            callback = self._make_callback(batch, index, fresh)
-            if not self.queue.subscribe(job, callback):
-                callback(job)  # already terminal: emit immediately
+            self._batches[batch_id] = batch
+            self._events[batch_id] = events
+        fresh = batch.submit(self.queue, priority=priority, after=after)
         self.scheduler.kick()
         summary = batch.describe()
-        summary.update({"submitted": len(specs), "fresh": fresh_count,
-                        "coalesced": len(specs) - fresh_count})
+        summary.update({"submitted": len(specs), "fresh": fresh,
+                        "coalesced": len(specs) - fresh})
         return summary
-
-    def _make_callback(self, batch: _Batch, index: int, fresh: bool) -> Any:
-        def _on_done(job: Job) -> None:
-            if job.state == "failed":
-                outcome = "failed"
-            elif fresh:
-                outcome = job.outcome  # "executed" | "cached"
-            else:
-                # This submission coalesced onto someone else's job (or
-                # onto an already-finished one): it never executed.
-                outcome = "cached" if job.outcome == "cached" else "deduped"
-            event: Dict[str, Any] = {
-                "event": "job",
-                "batch": batch.batch_id,
-                "index": index,
-                "label": batch.labels[index],
-                "hash": job.spec_hash,
-                "outcome": outcome,
-                "wall_s": job.wall_s,
-                "attempts": job.attempts,
-                "worker": job.worker,
-            }
-            if job.state == "failed":
-                event["error"] = str(job.error)
-            elif job.result is not None:
-                try:
-                    event["result"] = get_builder(job.spec.builder).encode(
-                        job.result
-                    )
-                except Exception:
-                    event["result"] = None
-            with self._lock:
-                batch.outcomes[outcome] = batch.outcomes.get(outcome, 0) + 1
-                batch.counted += 1
-                record_root = batch.counted == batch.total
-            # Close the root span and flush telemetry *before* the
-            # batch turns done, so a status()/scrape racing the last
-            # callback sees them.
-            if record_root:
-                self._record_batch_root(batch)
-                # One durable store-telemetry snapshot per batch, same
-                # as the batch runtime's run_batch() path.
-                self.scheduler.flush_telemetry(self.queue)
-            # Enqueue and count in one critical section: a stream that
-            # sees ``done`` under the lock also sees every event queued.
-            with self._lock:
-                batch.events.put(event)
-                batch.finished += 1
-
-        return _on_done
-
-    def _record_batch_root(self, batch: _Batch) -> None:
-        """Close the batch's root lifecycle span (submission → last
-        job terminal).  Job spans are recorded before their jobs turn
-        terminal, so the root always ends last."""
-        failed = batch.outcomes.get("failed", 0)
-        self.recorder.record(_dist.LifecycleSpan(
-            trace_id=batch.trace_id,
-            span_id=_dist.span_id_for(batch.trace_id, _dist.SPAN_BATCH),
-            parent_span_id="",
-            name=_dist.SPAN_BATCH,
-            start_t=batch.created_t,
-            end_t=clock.now(),
-            status="failed" if failed else "ok",
-            attrs={
-                "batch": batch.batch_id,
-                "jobs": batch.total,
-                "outcomes": dict(batch.outcomes),
-            },
-        ))
 
     def submit_batch(
         self, spec_dicts: List[Dict[str, Any]], priority: int = 0
     ) -> Dict[str, Any]:
         """Validate, verify, and enqueue a batch of spec dicts."""
-        return self._submit(self._parse_specs(spec_dicts), priority=priority)
+        specs = [RunSpec.from_dict(doc) for doc in spec_dicts]
+        if not specs:
+            raise ConfigurationError("batch has no specs")
+        if self.verify:
+            verify_batch(specs)
+        return self._submit(specs, priority=priority)
 
     def submit_sweep(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Lower a sweep request into its DAG and enqueue it."""
         plan = plan_sweep(request)
         specs = [job.spec for job in plan.jobs]
         if self.verify:
-            self._parse_specs([spec.to_dict() for spec in specs])
+            verify_batch(specs)
         summary = self._submit(
             specs,
             priority=int(request.get("priority", 0)),
@@ -411,7 +283,7 @@ class ExperimentService:
 
     # -- consumption ------------------------------------------------
 
-    def get_batch(self, batch_id: str) -> _Batch:
+    def get_batch(self, batch_id: str) -> Batch:
         with self._lock:
             try:
                 return self._batches[batch_id]
@@ -429,15 +301,14 @@ class ExperimentService:
         are not replayed; the summary always is.
         """
         batch = self.get_batch(batch_id)
+        events = self._events[batch_id]
         deadline = clock.monotonic() + timeout_s
         yielded = 0
-        while True:
-            with self._lock:
-                drained = batch.done and batch.events.qsize() == 0
-            if drained:
-                break
+        # ``done`` turns true only after the last event is queued, so
+        # reading it before the queue size never ends a stream early.
+        while not (batch.done and events.qsize() == 0):
             try:
-                yield batch.events.get(timeout=0.2)
+                yield events.get(timeout=0.2)
                 yielded += 1
             except Empty:
                 if clock.monotonic() > deadline:
@@ -450,9 +321,6 @@ class ExperimentService:
         summary = batch.describe()
         summary["event"] = "summary"
         yield summary
-
-    def batch_status(self, batch_id: str) -> Dict[str, Any]:
-        return self.get_batch(batch_id).describe()
 
     def status(self) -> Dict[str, Any]:
         """Queue/cache/scheduler counters for ``GET /v1/status``."""
@@ -578,6 +446,31 @@ class ExperimentService:
             ).add(max(0.0, clock.now() - self._started_t))
         )
         return render_prometheus(families)
+
+
+def _job_event(
+    batch: Batch, index: int, outcome: str, job: Job
+) -> Dict[str, Any]:
+    """The stream event for one settled index of ``batch``."""
+    event: Dict[str, Any] = {
+        "event": "job",
+        "batch": batch.batch_id,
+        "index": index,
+        "label": batch.specs[index].label,
+        "hash": job.spec_hash,
+        "outcome": outcome,
+        "wall_s": job.wall_s,
+        "attempts": job.attempts,
+        "worker": job.worker,
+    }
+    if job.state == "failed":
+        event["error"] = str(job.error)
+    elif job.result is not None:
+        try:
+            event["result"] = get_builder(job.spec.builder).encode(job.result)
+        except Exception:
+            event["result"] = None
+    return event
 
 
 # -- HTTP layer -----------------------------------------------------

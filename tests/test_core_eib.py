@@ -1,5 +1,6 @@
 """Tests for the Energy Information Base (Table 2)."""
 
+import dataclasses
 import math
 
 import pytest
@@ -111,6 +112,18 @@ class TestConstruction:
         assert a is b
         c = cached_eib(NEXUS_5)
         assert c is not a
+
+    def test_cache_keys_on_profile_content_not_name(self):
+        lte = GALAXY_S3.interfaces[InterfaceKind.LTE]
+        custom = dataclasses.replace(GALAXY_S3, interfaces={
+            **GALAXY_S3.interfaces,
+            InterfaceKind.LTE: dataclasses.replace(lte, base_w=2 * lte.base_w),
+        })
+        assert custom.name == GALAXY_S3.name
+        stock = cached_eib(GALAXY_S3)
+        assert cached_eib(GALAXY_S3) is stock
+        assert cached_eib(custom) is not stock
+        assert cached_eib(custom).thresholds(1.0) != stock.thresholds(1.0)
 
     def test_threeg_eib_buildable(self):
         eib = EnergyInformationBase(

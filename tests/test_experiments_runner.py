@@ -140,6 +140,20 @@ class TestProtocolFactory:
         b = mdp_policy_for(GALAXY_S3, InterfaceKind.LTE)
         assert a is b
 
+    def test_mdp_policy_cache_keys_on_profile_content(self):
+        from repro.energy import profile_from_dict, profile_to_dict
+
+        doc = profile_to_dict(GALAXY_S3)
+        doc["interfaces"]["lte"]["base_w"] *= 2
+        custom = profile_from_dict(doc)
+        assert custom.name == GALAXY_S3.name
+        assert (mdp_policy_for(custom, InterfaceKind.LTE)
+                is not mdp_policy_for(GALAXY_S3, InterfaceKind.LTE))
+        # An equal profile rebuilt from its dict shares the table.
+        assert (mdp_policy_for(profile_from_dict(profile_to_dict(GALAXY_S3)),
+                               InterfaceKind.LTE)
+                is mdp_policy_for(GALAXY_S3, InterfaceKind.LTE))
+
     def test_build_protocol_rejects_unknown(self):
         from repro.sim.engine import Simulator
         from tests.helpers import make_path

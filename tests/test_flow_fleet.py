@@ -136,3 +136,20 @@ class TestFleetObs:
         assert all(entry["kind"] == "event" for entry in entries)
         text = format_timeline(entries)
         assert "fleet.epoch" in text and "fleet.session" in text
+
+    def test_fleet_run_captures_every_requested_record(self, tmp_path):
+        from repro.cli import main
+        from repro.obs import read_run_record
+
+        code = main([
+            "fleet", "run", "--sessions", "50", "--duration-s", "10",
+            "--trace", "--metrics", "--profile",
+            "--obs-dir", str(tmp_path / "obs"),
+            "--cache-dir", str(tmp_path / "cache"), "--no-progress",
+        ])
+        assert code == 0
+        [path] = (tmp_path / "obs").glob("fleet-*.trace.jsonl")
+        record = read_run_record(path)
+        assert record.events
+        assert record.metrics is not None
+        assert record.profile is not None

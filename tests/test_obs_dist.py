@@ -1,6 +1,6 @@
 """The distributed-trace identity layer (repro.obs.dist): deterministic
-ID derivation, context propagation, the lifecycle-span recorder with
-its truncate-on-rerun semantics, and the flight-recorder ring.
+ID derivation, context propagation, and the lifecycle-span recorder
+with its truncate-on-rerun semantics.
 """
 
 import json
@@ -99,14 +99,6 @@ class TestSpanRecorder:
         spans = dist.load_spans(tmp_path)
         assert set(spans) == {"t1", "t2"}
 
-    def test_sinkless_recorder_keeps_the_ring_only(self, tmp_path):
-        recorder = dist.SpanRecorder(sink_dir=None, ring_size=2)
-        for index in range(5):
-            recorder.record(_span("t1", f"s{index}"))
-        assert [s.span_id for s in recorder.tail()] == ["s3", "s4"]
-        assert recorder.recorded == 5
-        assert list(tmp_path.iterdir()) == []
-
     def test_disk_errors_are_counted_not_raised(self, tmp_path):
         blocker = tmp_path / "obs"
         blocker.write_text("not a directory")
@@ -114,17 +106,6 @@ class TestSpanRecorder:
         recorder.record(_span("t1", "s1"))
         assert recorder.dropped_writes == 1
         assert recorder.recorded == 1
-
-    def test_flight_dump(self, tmp_path):
-        recorder = dist.SpanRecorder(sink_dir=None)
-        recorder.record(_span("t1", "s1"))
-        recorder.record(_span("t1", "s2", parent="s1"))
-        path = recorder.dump_flight(tmp_path / "flight", "timeout-abc/123",
-                                    t=42.0)
-        assert path is not None and path.name == "flight-timeout-abc-123.jsonl"
-        lines = [json.loads(l) for l in path.read_text().splitlines()]
-        assert lines[0] == {"reason": "timeout-abc/123", "t": 42.0, "spans": 2}
-        assert [doc["span_id"] for doc in lines[1:]] == ["s1", "s2"]
 
 
 class TestReadLifecycle:

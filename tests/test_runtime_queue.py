@@ -7,12 +7,16 @@ replay) do not depend on scale.
 """
 
 import json
+import sys
+import threading
 
 import pytest
 
+from repro.obs import dist
 from repro.runtime import RunManifest, RunSpec, run_many, summarize
 from repro.runtime.queue import JobQueue
-from repro.runtime.scheduler import BatchSink, Scheduler
+from repro.runtime.batch import Batch
+from repro.runtime.scheduler import Scheduler
 from repro.sim.engine import dispatch_stats
 from repro.units import mib
 
@@ -42,14 +46,17 @@ class TestDedup:
     def test_callback_fires_once_per_subscription_even_when_terminal(self):
         queue = JobQueue()
         job, _ = queue.submit(small_spec())
+        seen = []
+        assert queue.subscribe(job, seen.append)
+        assert queue.subscribe(job, seen.append)
         assert queue.pop() is job and job.attempts == 1
         queue.mark_done(job, "executed", 42)
-        seen = []
-        _, fresh = queue.submit(small_spec(), on_done=seen.append)
+        assert seen == [job, job]  # once per subscription
+        _, fresh = queue.submit(small_spec())
         assert not fresh
-        assert seen == [job]  # terminal job fires before submit returns
         # subscribe() refuses terminal jobs so the caller fires itself.
         assert not queue.subscribe(job, seen.append)
+        assert seen == [job, job]
 
     def test_n_waiters_observe_exactly_one_execution(self, tmp_path):
         """ISSUE acceptance: N submissions of one spec hash -> one
@@ -74,6 +81,46 @@ class TestDedup:
         # Every waiter gets the one result.
         for result in results:
             assert result.to_dict() == expected.to_dict()
+
+
+class TestBatchSettling:
+    def test_concurrent_settles_lose_no_count_and_close_once(self, tmp_path):
+        """Indices settle from several threads at once (the service's
+        dispatcher and submitters): every one is counted and the root
+        span is recorded exactly once."""
+        scheduler = Scheduler(jobs=1)
+        scheduler.recorder = dist.SpanRecorder(tmp_path)
+        specs = [small_spec(seed=s % 48) for s in range(64)]
+        queue = JobQueue()
+        batch = Batch(specs, scheduler)
+        assert batch.submit(queue) == 48
+        jobs = queue.jobs()
+
+        def settle(chunk):
+            for job in chunk:
+                queue.mark_done(job, "executed", job.spec_hash)
+
+        threads = [
+            threading.Thread(target=settle, args=(jobs[i::8],))
+            for i in range(8)
+        ]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert batch.done and batch.finished == 64
+        assert batch.outcomes == {"executed": 48, "deduped": 16}
+        assert batch.results == [spec.content_hash() for spec in specs]
+        spans = dist.read_lifecycle(
+            tmp_path / f"{batch.trace_id}{dist.LIFECYCLE_SUFFIX}"
+        )
+        assert [span.name for span in spans] == ["batch"]
 
 
 class TestPriorityAndDependencies:
@@ -138,13 +185,12 @@ class TestJournalRecovery:
         assert finished.spec_hash not in hashes
 
         remaining = [job.spec for job in recovered.jobs()]
-        sink = BatchSink(remaining)
-        for index, job in enumerate(recovered.jobs()):
-            assert recovered.subscribe(job, sink.on_terminal)
-            sink.register(index, job)
-        Scheduler(jobs=1).run_batch(recovered, sink)
-        assert not sink.failures
-        for spec, result in zip(remaining, sink.results):
+        scheduler = Scheduler(jobs=1)
+        batch = Batch(remaining, scheduler)
+        assert batch.submit(recovered) == 0  # joins the recovered jobs
+        scheduler.run_batch(recovered)
+        assert batch.done and not batch.failures
+        for spec, result in zip(remaining, batch.results):
             assert (
                 json.dumps(result.to_dict(), sort_keys=True)
                 == json.dumps(spec.execute().to_dict(), sort_keys=True)

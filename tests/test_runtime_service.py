@@ -12,7 +12,7 @@ import urllib.request
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.runtime import RunSpec
+from repro.runtime import ResultCache, RunManifest, RunSpec, run_many
 from repro.runtime.service import ExperimentService, plan_sweep, serve_http
 from repro.units import mib
 
@@ -116,6 +116,63 @@ class TestServiceInProcess:
         assert settled == 4  # every batch's waiter observed the outcome
         assert service.queue.stats.submitted == 1
         assert service.queue.stats.deduped == 3
+
+
+class TestOneOutcomeRule:
+    """run_many and the service settle spec indices through one Batch,
+    so the same specs read the same per-index outcomes on both."""
+
+    def test_run_many_and_service_agree_per_index(self, tmp_path):
+        fresh, warm = small_spec(seed=21), small_spec(seed=22)
+        specs = [fresh, warm, fresh, warm]
+
+        def warm_cache(root):
+            cache = ResultCache(root)
+            run_many([warm], cache=cache)
+            return cache
+
+        manifest_path = tmp_path / "run.jsonl"
+        with RunManifest(manifest_path) as manifest:
+            run_many(specs, cache=warm_cache(tmp_path / "a"),
+                     manifest=manifest)
+        # Lines of one spec hash are written in index order.
+        lines = {}
+        for entry in RunManifest.read(manifest_path):
+            lines.setdefault(entry.spec_hash, []).append(entry.outcome)
+        via_run_many = [lines[spec.content_hash()].pop(0) for spec in specs]
+
+        warm_cache(tmp_path / "b")
+        with ExperimentService(tmp_path / "b", jobs=1, journal=False) as svc:
+            summary = svc.submit_batch([spec.to_dict() for spec in specs])
+            events = [e for e in svc.stream_batch(summary["batch"])
+                      if e["event"] == "job"]
+        via_service = [e["outcome"]
+                       for e in sorted(events, key=lambda e: e["index"])]
+
+        # A duplicate of a cache hit reads "cached" on both paths.
+        assert via_run_many == via_service == [
+            "executed", "cached", "deduped", "cached",
+        ]
+
+
+class TestServiceTop:
+    def test_dashboard_counts_completed_jobs(self, tmp_path, capsys):
+        from repro.cli import main
+
+        with ExperimentService(tmp_path / "cache", jobs=1) as svc:
+            server = serve_http(svc)
+            summary = svc.submit_batch(
+                [small_spec(seed=s).to_dict() for s in range(2)]
+            )
+            list(svc.stream_batch(summary["batch"]))
+            code = main(["service", "top", str(server.server_address[1]),
+                         "--runs", "1", "--cache-dir", str(tmp_path / "c")])
+            server.shutdown()
+        text = capsys.readouterr().out
+        assert code == 0
+        assert "submitted 2  done 2  failed 0" in text
+        assert "1 batch(es)" in text
+        assert "store 2 entries" in text
 
 
 class TestStreamCompleteness:

@@ -2,7 +2,7 @@
 run_many batches emit one reassemblable span tree, run exports are
 stamped, manifests carry the trace identity, the in-process pool
 (jobs=1) emits the same topology as the process pool, and the
-scheduler's metrics/flight-recorder planes populate.
+scheduler's metrics plane populates.
 """
 
 import json
@@ -18,16 +18,11 @@ from repro.runtime import (
     register_builder,
     run_many,
 )
-from repro.runtime import clock
 from repro.runtime import spec as spec_mod
+from repro.runtime.batch import Batch
 from repro.runtime.manifest import ManifestEntry
 from repro.runtime.queue import JobQueue
-from repro.runtime.scheduler import (
-    BatchSink,
-    RetryPolicy,
-    Scheduler,
-    TimeoutPolicy,
-)
+from repro.runtime.scheduler import RetryPolicy, Scheduler, TimeoutPolicy
 from repro.units import mib
 
 pytestmark = pytest.mark.runtime
@@ -128,37 +123,23 @@ def _drive_batch(tmp_path, name, jobs, specs):
     """One batch through Scheduler.run_batch with tracing attached."""
     obs_dir = tmp_path / name / "obs"
     manifest_path = tmp_path / name / "run.jsonl"
-    hashes = [spec.content_hash() for spec in specs]
-    root_ctx = dist.root_context(hashes)
     scheduler = Scheduler(
         jobs=jobs,
         retry=RetryPolicy(retries=0),
         timeout=TimeoutPolicy(None),
     )
-    scheduler.recorder = dist.SpanRecorder(sink_dir=obs_dir)
-    scheduler.flight_dir = tmp_path / name / "flight"
-    batch_start = clock.now()
+    scheduler.recorder = dist.SpanRecorder(obs_dir)
     with RunManifest(manifest_path) as manifest:
-        sink = BatchSink(specs, manifest=manifest)
-        queue = JobQueue()
-        for index, spec in enumerate(specs):
-            job, _ = queue.submit(
-                spec, on_done=sink.on_terminal,
-                ctx=root_ctx.child(dist.SPAN_JOB, hashes[index]),
+        def settle(index, outcome, job):
+            manifest.record(
+                specs[index], outcome, wall_time_s=job.wall_s,
+                worker=job.worker or "local", attempt=max(1, job.attempts),
+                trace_id=job.ctx.trace_id, span_id=job.ctx.span_id,
             )
-            sink.register(index, job)
-        scheduler.run_batch(queue, sink)
-        # Close the batch root the way run_many's finally block does.
-        scheduler.recorder.record(dist.LifecycleSpan(
-            trace_id=root_ctx.trace_id,
-            span_id=root_ctx.span_id,
-            parent_span_id="",
-            name=dist.SPAN_BATCH,
-            start_t=batch_start,
-            end_t=clock.now(),
-            status="failed" if sink.failures else "ok",
-            attrs={"jobs": len(specs)},
-        ))
+
+        queue = JobQueue()
+        Batch(specs, scheduler, on_settle=settle).submit(queue)
+        scheduler.run_batch(queue)
         queue.close()
     return scheduler, obs_dir, manifest_path
 
@@ -220,7 +201,7 @@ class TestInlineAsyncParity:
 
 
 class TestFailurePlane:
-    def test_failed_job_records_span_and_flight_dump(
+    def test_failed_job_records_span_and_counter(
         self, tmp_path, scratch_builder
     ):
         def boom(spec):
@@ -238,10 +219,6 @@ class TestFailurePlane:
         exec_spans = [s for s in trace.values() if s.name == "job.exec"]
         assert exec_spans and all(s.status == "error" for s in exec_spans)
 
-        flights = list((tmp_path / "fail" / "flight").glob("flight-*.jsonl"))
-        assert len(flights) == 1
-        header = json.loads(flights[0].read_text().splitlines()[0])
-        assert header["reason"].startswith("error-")
         assert scheduler.metrics.to_dict()["counters"][
             "scheduler.jobs_failed"] == 1
 
