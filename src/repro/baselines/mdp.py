@@ -7,6 +7,10 @@ action set picks which interfaces to use for the next unit-time epoch
 epoch.  The policy is far too expensive to compute in the kernel, so it
 is computed offline ("in the cloud") and downloaded — here, computed by
 value iteration before the run — and applied at run time as a lookup.
+The value iteration is vectorized over all states with numpy and exact:
+it sums each state's successors left to right and breaks ties towards
+the first action, so values and policy equal a scalar solve bit for bit
+(``tests/data/offline_tables.golden.json`` pins them).
 
 §4.6 simulates this scheduler rather than deploying it, and observes
 that with an energy model in which LTE's per-second power never drops
@@ -160,36 +164,58 @@ class MdpPolicy:
         return cost
 
     def _solve(self, iterations: int) -> None:
+        """Value iteration over a padded (state x successor) matrix.
+
+        Row ``i`` of ``prob``/``succ`` lists state ``i``'s successors in
+        the order the transition function gives them, padded with
+        ``p = 0`` up to the widest row.  ``np.add.accumulate`` sums each
+        row left to right, so the expected future value is the plain
+        sequential sum of ``p * V[s']`` (``np.sum`` and ``@`` reduce in
+        a different order and differ in the last ulp).  Actions break
+        ties towards the first in :class:`MdpAction` order.
+        """
+        import numpy as np
+
         states = list(
             itertools.product(range(len(self.wifi_levels)), range(len(self.cell_levels)))
         )
-        # Precompute transition lists and per-(state, action) costs so
-        # value iteration is pure arithmetic.
-        trans: Dict[State, Sequence[Tuple[State, float]]] = {
-            s: list(self._transitions(s)) for s in states
-        }
-        costs: Dict[Tuple[State, MdpAction], float] = {
-            (s, a): self._epoch_cost(s, a) for s in states for a in MdpAction
-        }
-        values: Dict[State, float] = {s: 0.0 for s in states}
+        index = {s: i for i, s in enumerate(states)}
+        trans = [list(self._transitions(s)) for s in states]
+        width = max(1, max(len(t) for t in trans))
+        prob = np.zeros((len(states), width))
+        succ = np.zeros((len(states), width), dtype=np.intp)
+        for i, successors in enumerate(trans):
+            for j, (s2, p) in enumerate(successors):
+                prob[i, j] = p
+                succ[i, j] = index[s2]
+        costs = np.array(
+            [[self._epoch_cost(s, a) for a in MdpAction] for s in states]
+        )
+
+        def backup(values):
+            # ``+ 0.0`` matches a sum that starts from 0: it only turns a
+            # -0.0 total into 0.0.
+            future = np.add.accumulate(prob * values[succ], axis=1)[:, -1] + 0.0
+            q = costs + self.discount * future[:, None]
+            best = q[:, 0]
+            choice = np.zeros(len(states), dtype=np.intp)
+            for a in range(1, q.shape[1]):
+                better = q[:, a] < best
+                best = np.where(better, q[:, a], best)
+                choice = np.where(better, a, choice)
+            return best, choice
+
+        values = np.zeros(len(states))
         for _ in range(iterations):
-            new_values: Dict[State, float] = {}
-            for s in states:
-                future = sum(p * values[s2] for s2, p in trans[s])
-                best = min(
-                    costs[(s, a)] + self.discount * future for a in MdpAction
-                )
-                new_values[s] = best
-            delta = max(abs(new_values[s] - values[s]) for s in states)
+            new_values, _choice = backup(values)
+            delta = np.max(np.abs(new_values - values))
             values = new_values
             if delta < 1e-9:
                 break
-        self.values = values
-        for s in states:
-            future = sum(p * values[s2] for s2, p in trans[s])
-            self.policy[s] = min(
-                MdpAction, key=lambda a: costs[(s, a)] + self.discount * future
-            )
+        _best, choice = backup(values)
+        actions = list(MdpAction)
+        self.values = dict(zip(states, values.tolist()))
+        self.policy = {s: actions[a] for s, a in zip(states, choice.tolist())}
 
     # ------------------------------------------------------------------
 

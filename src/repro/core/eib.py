@@ -17,7 +17,13 @@ so fixed overheads are not amortised into the EIB itself).
 Thresholds are found by bisection on the continuous per-byte-energy
 difference, which is monotone in the WiFi rate for any power model
 that is affine-or-concave in throughput, then cached on a cellular-rate
-grid and linearly interpolated at lookup time.
+grid and linearly interpolated at lookup time.  The bisection runs on
+every grid row at once as numpy arrays, through the same per-byte
+formula as :func:`~repro.energy.efficiency.per_byte_energy`; each row
+sees the IEEE operations a scalar bisection would, in the same order,
+so every threshold equals the scalar one bit for bit
+(``tests/data/offline_tables.golden.json`` pins them).  A 300-row table
+builds in a few milliseconds.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.energy.device import DeviceProfile
-from repro.energy.efficiency import Strategy, per_byte_energy
+from repro.energy.efficiency import Strategy, per_byte_cost
 from repro.energy.power import Direction
 from repro.energy.serialization import profile_key
 from repro.errors import EnergyModelError
@@ -37,6 +43,33 @@ from repro.net.interface import InterfaceKind
 #: Upper bound for threshold searches, Mbps.  Beyond this we call the
 #: threshold infinite (WiFi-only never wins at that cellular rate).
 _MAX_WIFI_MBPS = 1_000.0
+
+
+def _bisect_rows(rows: int, diff) -> List[float]:
+    """Per row, the smallest WiFi rate where ``diff(w) <= 0``.
+
+    ``diff`` maps an array of WiFi rates (one per row) to the rows'
+    differences, positive while the single-path strategy is worse than
+    BOTH and decreasing in the WiFi rate.  Every row takes 80 halvings
+    from ``(1e-6, _MAX_WIFI_MBPS)``; a row already ``<= 0`` at ``1e-6``
+    gets ``1e-6`` and one still positive at the top gets ``inf``.  The
+    rows share arrays, but each sees the IEEE operations a scalar
+    bisection would, in the same order, so each root is bit-identical
+    to the scalar one.
+    """
+    import numpy as np
+
+    lo = np.full(rows, 1e-6)
+    hi = np.full(rows, _MAX_WIFI_MBPS)
+    at_floor = diff(lo) <= 0
+    past_top = diff(hi) > 0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        worse = diff(mid) > 0
+        lo = np.where(worse, mid, lo)
+        hi = np.where(worse, hi, mid)
+    root = np.where(past_top, math.inf, 0.5 * (lo + hi))
+    return np.where(at_floor, 1e-6, root).tolist()
 
 
 @dataclass(frozen=True)
@@ -75,53 +108,40 @@ class EnergyInformationBase:
         if not grid or grid[0] <= 0:
             raise EnergyModelError("cellular grid must be positive")
         self._grid = grid
-        self._entries: List[EibEntry] = [self._compute_entry(c) for c in grid]
+        self._entries: List[EibEntry] = self._build(grid)
 
     # ------------------------------------------------------------------
     # construction
 
-    def _per_byte(self, strategy: Strategy, wifi: float, cell: float) -> float:
-        return per_byte_energy(
-            self.profile, strategy, wifi, cell, self.cell_kind, self.direction
-        )
+    def _build(self, grid: List[float]) -> List[EibEntry]:
+        """Every grid row's two thresholds, each bisected for all rows
+        at once.
 
-    def _compute_entry(self, cell: float) -> EibEntry:
-        wifi_only = self._bisect_threshold(
-            cell,
-            lambda w: self._per_byte(Strategy.WIFI_ONLY, w, cell)
-            - self._per_byte(Strategy.BOTH, w, cell),
-        )
-        # Below the cellular-only threshold, BOTH is *worse* than
-        # cellular alone (the WiFi radio's base power buys almost no
-        # rate), so the positive-then-negative difference is
-        # BOTH - CELLULAR_ONLY.
-        cell_only = self._bisect_threshold(
-            cell,
-            lambda w: self._per_byte(Strategy.BOTH, w, cell)
-            - self._per_byte(Strategy.CELLULAR_ONLY, w, cell),
-        )
-        return EibEntry(cell, cellular_only_below=cell_only, wifi_only_above=wifi_only)
-
-    @staticmethod
-    def _bisect_threshold(cell: float, diff) -> float:
-        """Smallest WiFi rate where ``diff(w) <= 0``.
-
-        ``diff`` is positive while the single-path strategy is worse
-        than BOTH and decreases in the WiFi rate; the root is the
-        transition point.
+        ``WIFI_ONLY - BOTH`` turns ``<= 0`` at the WiFi-only threshold.
+        Below the cellular-only threshold BOTH is *worse* than cellular
+        alone (the WiFi radio's base power buys almost no rate), so that
+        threshold is where ``BOTH - CELLULAR_ONLY`` turns ``<= 0``.
         """
-        lo, hi = 1e-6, _MAX_WIFI_MBPS
-        if diff(lo) <= 0:
-            return lo
-        if diff(hi) > 0:
-            return math.inf
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if diff(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        import numpy as np
+
+        cell = np.array(grid)
+
+        def cost(strategy: Strategy, wifi):
+            return per_byte_cost(
+                self.profile, strategy, wifi, cell, self.cell_kind, self.direction
+            )
+
+        wifi_only = _bisect_rows(
+            len(grid), lambda w: cost(Strategy.WIFI_ONLY, w) - cost(Strategy.BOTH, w)
+        )
+        cell_only = _bisect_rows(
+            len(grid),
+            lambda w: cost(Strategy.BOTH, w) - cost(Strategy.CELLULAR_ONLY, w),
+        )
+        return [
+            EibEntry(c, cellular_only_below=co, wifi_only_above=wo)
+            for c, co, wo in zip(grid, cell_only, wifi_only)
+        ]
 
     # ------------------------------------------------------------------
     # queries
@@ -181,9 +201,9 @@ def cached_eib(
     direction: Direction = Direction.DOWN,
 ) -> EnergyInformationBase:
     """A process-wide cache of EIBs — they are pure functions of the
-    device profile, and building one scans a few hundred grid rows.
-    Keyed on the profile's content, so two profiles that share a name
-    get their own tables."""
+    device profile, and a build bisects a few hundred grid rows (a few
+    milliseconds, vectorized).  Keyed on the profile's content, so two
+    profiles that share a name get their own tables."""
     key = (profile_key(profile), cell_kind, direction)
     if key not in _EIB_CACHE:
         _EIB_CACHE[key] = EnergyInformationBase(profile, cell_kind, direction=direction)

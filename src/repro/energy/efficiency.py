@@ -44,14 +44,27 @@ def strategy_power(
     """
     if wifi_mbps < 0 or cell_mbps < 0:
         raise EnergyModelError("throughputs must be non-negative")
+    return _power(profile, strategy, wifi_mbps, cell_mbps, cell_kind, direction)
+
+
+def _power(
+    profile: DeviceProfile,
+    strategy: Strategy,
+    wifi_mbps,
+    cell_mbps,
+    cell_kind: InterfaceKind,
+    direction: Direction,
+):
+    """:func:`strategy_power`'s arithmetic, unchecked; rates may be
+    floats or numpy arrays."""
     wifi = profile.interfaces[InterfaceKind.WIFI]
     cell = profile.interfaces[cell_kind]
     if strategy is Strategy.WIFI_ONLY:
-        return wifi.active_power_w(wifi_mbps, direction)
+        return wifi.base_w + wifi.slope(direction) * wifi_mbps
     if strategy is Strategy.CELLULAR_ONLY:
-        return cell.active_power_w(cell_mbps, direction)
-    total = wifi.active_power_w(wifi_mbps, direction) + cell.active_power_w(
-        cell_mbps, direction
+        return cell.base_w + cell.slope(direction) * cell_mbps
+    total = (wifi.base_w + wifi.slope(direction) * wifi_mbps) + (
+        cell.base_w + cell.slope(direction) * cell_mbps
     )
     return total - profile.overlap_saving_w
 
@@ -83,9 +96,25 @@ def per_byte_energy(
     rate = strategy_rate_mbps(strategy, wifi_mbps, cell_mbps)
     if rate <= 0:
         return math.inf
-    power = strategy_power(
-        profile, strategy, wifi_mbps, cell_mbps, cell_kind, direction
-    )
+    if wifi_mbps < 0 or cell_mbps < 0:
+        raise EnergyModelError("throughputs must be non-negative")
+    return per_byte_cost(profile, strategy, wifi_mbps, cell_mbps, cell_kind, direction)
+
+
+def per_byte_cost(
+    profile: DeviceProfile,
+    strategy: Strategy,
+    wifi_mbps,
+    cell_mbps,
+    cell_kind: InterfaceKind,
+    direction: Direction,
+):
+    """:func:`per_byte_energy`'s arithmetic, unchecked: the rates may be
+    floats or numpy arrays (the EIB bisects whole grids at once) and
+    must give the strategy a positive rate.  One formula, so a scalar
+    and an array caller get bit-identical results."""
+    rate = strategy_rate_mbps(strategy, wifi_mbps, cell_mbps)
+    power = _power(profile, strategy, wifi_mbps, cell_mbps, cell_kind, direction)
     return power / mbps_to_bytes_per_sec(rate)
 
 

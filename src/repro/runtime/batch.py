@@ -144,6 +144,7 @@ class Batch:
                     if self.root is not None
                     else None
                 ),
+                spec_hash=self.hashes[index],
             )
             fresh_count += 1 if fresh else 0
             settle = functools.partial(self._settle, index, fresh)

@@ -105,16 +105,18 @@ class ResultCache:
                 snapshots.append(doc)
         return snapshots
 
-    def get(self, spec: RunSpec) -> Optional[Any]:
-        """The decoded cached result, or None on any kind of miss."""
+    def get(self, spec: RunSpec, spec_hash: Optional[str] = None) -> Optional[Any]:
+        """The decoded cached result, or None on any kind of miss.
+        ``spec_hash`` is ``spec.content_hash()`` when the caller already
+        has it; :meth:`put` takes it the same way."""
         prof = _obs.profiler_or_none()
         if prof is not None:
             with prof.span("runtime.cache.get"):
-                return self._get_inner(spec)
-        return self._get_inner(spec)
+                return self._get_inner(spec, spec_hash)
+        return self._get_inner(spec, spec_hash)
 
-    def _get_inner(self, spec: RunSpec) -> Optional[Any]:
-        payload = self.store.get(spec.content_hash())
+    def _get_inner(self, spec: RunSpec, spec_hash: Optional[str]) -> Optional[Any]:
+        payload = self.store.get(spec_hash or spec.content_hash())
         if payload is None:
             return None
         if payload.get("salt") != code_salt():
@@ -124,22 +126,26 @@ class ResultCache:
         except Exception:
             return None
 
-    def put(self, spec: RunSpec, result: Any) -> Path:
+    def put(
+        self, spec: RunSpec, result: Any, spec_hash: Optional[str] = None
+    ) -> Path:
         """Store one result; returns the segment it was appended to."""
         prof = _obs.profiler_or_none()
         if prof is not None:
             with prof.span("runtime.cache.put"):
-                return self._put_inner(spec, result)
-        return self._put_inner(spec, result)
+                return self._put_inner(spec, result, spec_hash)
+        return self._put_inner(spec, result, spec_hash)
 
-    def _put_inner(self, spec: RunSpec, result: Any) -> Path:
+    def _put_inner(
+        self, spec: RunSpec, result: Any, spec_hash: Optional[str]
+    ) -> Path:
         entry = get_builder(spec.builder)
         payload = {
             "salt": code_salt(),
             "spec": spec.to_dict(),
             "result": entry.encode(result),
         }
-        self.store.put(spec.content_hash(), payload)
+        self.store.put(spec_hash or spec.content_hash(), payload)
         if self.max_bytes is not None or self.max_age_s is not None:
             self.store.evict(self.max_bytes, self.max_age_s)
         return self.store.root / self.store._segment_name

@@ -232,21 +232,23 @@ def _record(
     wall_s: float = 0.0,
 ) -> None:
     """One manifest line for ``spec``, stamped with its job span's
-    ``(trace_id, span_id)`` ("" pair when tracing is off)."""
-    stamp = {
+    ``(trace_id, span_id)`` ("" pair when tracing is off) and carrying
+    the job's spec hash, so the manifest does not hash the spec again."""
+    common = {
         "trace_id": str(getattr(job.ctx, "trace_id", "")),
         "span_id": str(getattr(job.ctx, "span_id", "")),
+        "spec_hash": job.spec_hash,
     }
     if outcome == "deduped":
-        manifest.record(spec, outcome, worker="dedup", **stamp)
+        manifest.record(spec, outcome, worker="dedup", **common)
     elif outcome == "retried":
         manifest.record(
             spec, outcome, wall_time_s=wall_s, worker=job.worker or "local",
-            attempt=job.attempts, **stamp,
+            attempt=job.attempts, **common,
         )
     else:
         manifest.record(
             spec, outcome, wall_time_s=job.wall_s,
             worker=job.worker or "local", attempt=max(1, job.attempts),
-            trace=job.trace, perf=job.perf, **stamp,
+            trace=job.trace, perf=job.perf, **common,
         )

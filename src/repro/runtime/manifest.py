@@ -83,14 +83,17 @@ class RunManifest:
         perf: Optional[Dict[str, Any]] = None,
         trace_id: str = "",
         span_id: str = "",
+        spec_hash: Optional[str] = None,
     ) -> ManifestEntry:
-        """Write one line for ``spec`` and return the entry."""
+        """Write one line for ``spec`` and return the entry.
+        ``spec_hash`` is ``spec.content_hash()`` when the caller already
+        has it."""
         if outcome not in OUTCOMES:
             raise ConfigurationError(
                 f"unknown outcome {outcome!r}; choose from {OUTCOMES}"
             )
         entry = ManifestEntry(
-            spec_hash=spec.content_hash(),
+            spec_hash=spec_hash or spec.content_hash(),
             label=spec.label,
             protocol=spec.protocol,
             builder=spec.builder,

@@ -16,7 +16,7 @@ reads per run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 from repro.sim.engine import dispatch_stats
 
@@ -90,8 +90,8 @@ class PerfMeter:
         record = meter.finish(wall_s)
     """
 
-    def __init__(self, spec: Any):
-        self._spec_hash = spec.content_hash()
+    def __init__(self, spec: Any, spec_hash: Optional[str] = None):
+        self._spec_hash = spec_hash or spec.content_hash()
         self._label = spec.label
         self._engine = getattr(spec, "engine", "fluid")
         self._events0, self._sim0 = dispatch_stats().snapshot()

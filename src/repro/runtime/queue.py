@@ -174,6 +174,7 @@ class JobQueue:
         priority: int = 0,
         after: Iterable[str] = (),
         ctx: Optional[Any] = None,
+        spec_hash: Optional[str] = None,
     ) -> Tuple[Job, bool]:
         """Enqueue ``spec`` (or join the existing job for its hash).
 
@@ -182,8 +183,10 @@ class JobQueue:
         :meth:`subscribe` to hear of its terminal transition.  ``ctx``
         attaches a trace context; on dedup the first submitter's context
         wins (its batch owns the span) unless none was attached yet.
+        ``spec_hash`` is ``spec.content_hash()`` when the caller already
+        has it.
         """
-        spec_hash = spec.content_hash()
+        spec_hash = spec_hash or spec.content_hash()
         with self._lock:
             job = self._jobs.get(spec_hash)
             if job is not None:

@@ -207,6 +207,7 @@ def _execute_observed(
     spec: RunSpec,
     options: Optional[_obs.ObsOptions],
     stamp: Optional[Dict[str, str]] = None,
+    spec_hash: Optional[str] = None,
 ) -> Tuple[Any, str]:
     """Run one spec, inside its own capture session when requested.
 
@@ -223,7 +224,7 @@ def _execute_observed(
         ring_size=options.ring_size,
     ) as session:
         result = spec.execute()
-    path = Path(options.dir) / f"{spec.content_hash()}.trace.jsonl"
+    path = Path(options.dir) / f"{spec_hash or spec.content_hash()}.trace.jsonl"
     return result, str(session.export(path, stamp=stamp))
 
 
@@ -232,6 +233,7 @@ def _worker_run(
     timeout_s: Optional[float],
     obs_dict: Optional[Dict[str, Any]] = None,
     ctx_dict: Optional[Dict[str, Any]] = None,
+    spec_hash: Optional[str] = None,
 ) -> Tuple[Dict[str, Any], float, str, str, Dict[str, Any]]:
     """Pool-side entry point: rebuild the spec, run it, encode the result.
 
@@ -239,17 +241,19 @@ def _worker_run(
     multiprocessing start method.  ``ctx_dict`` is the execution
     attempt's trace context; its stamp lands on the run's exports so
     they correlate back to the scheduler's lifecycle spans.
+    ``spec_hash`` is the spec's content hash, which the submitter
+    already has.
     """
     spec = RunSpec.from_dict(spec_dict)
     entry = get_builder(spec.builder)
     options = (
         _obs.ObsOptions.from_dict(obs_dict) if obs_dict is not None else None
     )
-    meter = PerfMeter(spec)
+    meter = PerfMeter(spec, spec_hash)
     start = clock.perf()
     with TimeoutPolicy(timeout_s).deadline():
         result, trace = _execute_observed(
-            spec, options, stamp=_ctx_stamp(ctx_dict)
+            spec, options, stamp=_ctx_stamp(ctx_dict), spec_hash=spec_hash
         )
     wall = clock.perf() - start
     perf = meter.finish(wall).to_dict()
@@ -290,11 +294,12 @@ class InlineWorkerPool:
         timeout: TimeoutPolicy,
         options: Optional[_obs.ObsOptions],
         ctx: Optional[Dict[str, Any]] = None,
+        spec_hash: Optional[str] = None,
     ) -> Future:
         """Run ``spec`` now; the returned future is already done."""
         future: Future = Future()
         try:
-            future.set_result(self._run(spec, timeout, options, ctx))
+            future.set_result(self._run(spec, timeout, options, ctx, spec_hash))
         except Exception as exc:
             future.set_exception(exc)
         return future
@@ -305,12 +310,13 @@ class InlineWorkerPool:
         timeout: TimeoutPolicy,
         options: Optional[_obs.ObsOptions],
         ctx: Optional[Dict[str, Any]] = None,
+        spec_hash: Optional[str] = None,
     ) -> Tuple[Any, float, str, str, Dict[str, Any]]:
-        meter = PerfMeter(spec)
+        meter = PerfMeter(spec, spec_hash)
         start = clock.perf()
         with timeout.deadline():
             result, trace = _execute_observed(
-                spec, options, stamp=_ctx_stamp(ctx)
+                spec, options, stamp=_ctx_stamp(ctx), spec_hash=spec_hash
             )
         wall = clock.perf() - start
         return result, wall, "local", trace, meter.finish(wall).to_dict()
@@ -348,6 +354,7 @@ class ProcessWorkerPool:
         timeout: TimeoutPolicy,
         options: Optional[_obs.ObsOptions],
         ctx: Optional[Dict[str, Any]] = None,
+        spec_hash: Optional[str] = None,
     ) -> Future:
         """Hand ``spec`` to a worker; a submission that cannot even be
         made comes back as a failed future, settled like any other."""
@@ -360,7 +367,8 @@ class ProcessWorkerPool:
             if self._pool is None:
                 raise BrokenProcessPool("the process pool could not be rebuilt")
             return self._pool.submit(
-                _worker_run, spec.to_dict(), timeout.timeout_s, obs_dict, ctx
+                _worker_run, spec.to_dict(), timeout.timeout_s, obs_dict, ctx,
+                spec_hash,
             )
         except Exception as exc:
             future: Future = Future()
@@ -573,7 +581,7 @@ class Scheduler:
         hits = 0
         for job in queue.jobs():
             if job.state == PENDING and job.attempts == 0:
-                hit = self.cache.get(job.spec)
+                hit = self.cache.get(job.spec, job.spec_hash)
                 if hit is not None:
                     self._mark_cached(job, hit, queue)
                     hits += 1
@@ -673,7 +681,7 @@ class Scheduler:
                     if job is None:
                         break
                     hit = (
-                        self.cache.get(job.spec)
+                        self.cache.get(job.spec, job.spec_hash)
                         if serve and self.cache is not None
                         else None
                     )
@@ -715,6 +723,7 @@ class Scheduler:
         return pool.submit(
             job.spec, self.timeout, self.obs,
             ctx.to_dict() if ctx is not None else None,
+            job.spec_hash,
         )
 
     def _settle(
@@ -793,7 +802,7 @@ class Scheduler:
         job.trace = trace
         job.perf = perf
         if self.cache is not None:
-            self.cache.put(job.spec, result)
+            self.cache.put(job.spec, result, job.spec_hash)
         events_per_sec = (perf or {}).get("events_per_sec")
         if isinstance(events_per_sec, (int, float)) and events_per_sec > 0:
             self.events_ewma = (

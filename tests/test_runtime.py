@@ -245,6 +245,32 @@ class TestRunMany:
         for a, b in zip(cold, warm):
             assert a.to_dict() == b.to_dict()
 
+    def test_each_spec_is_hashed_once_per_batch(self, tmp_path, monkeypatch):
+        """The hash the batch computes is carried through the queue, the
+        cache, the perf meter and the manifest, cold and warm."""
+        calls = []
+        original = RunSpec.content_hash
+
+        def counted(spec):
+            calls.append(spec.label)
+            return original(spec)
+
+        specs = [small_spec(protocol=p) for p in ("emptcp", "tcp-wifi", "mptcp")]
+        cache = ResultCache(tmp_path / "cache")
+        monkeypatch.setattr(RunSpec, "content_hash", counted)
+        for name in ("cold.jsonl", "warm.jsonl"):
+            calls.clear()
+            with RunManifest(tmp_path / name) as manifest:
+                run_many(specs, jobs=1, cache=cache, manifest=manifest)
+            assert sorted(calls) == sorted(spec.label for spec in specs), name
+        monkeypatch.undo()
+        for name, outcome in (("cold.jsonl", "executed"), ("warm.jsonl", "cached")):
+            entries = RunManifest.read(tmp_path / name)
+            assert [e.outcome for e in entries] == [outcome] * len(specs)
+            assert sorted(e.spec_hash for e in entries) == sorted(
+                spec.content_hash() for spec in specs
+            )
+
     def test_group_results_preserves_order_within_protocol(self):
         specs = [small_spec(protocol=p, seed=s)
                  for p in ("emptcp", "tcp-wifi") for s in range(2)]
