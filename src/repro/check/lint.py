@@ -546,6 +546,30 @@ class _Linter(ast.NodeVisitor):
 # -- REP107 ------------------------------------------------------------
 
 
+def _lazy_exports(tree: ast.Module) -> Set[str]:
+    """Names a module ``__getattr__`` serves from a top-level dict."""
+    getattr_fn = next(
+        (n for n in tree.body
+         if isinstance(n, ast.FunctionDef) and n.name == "__getattr__"),
+        None,
+    )
+    if getattr_fn is None:
+        return set()
+    read = {n.id for n in ast.walk(getattr_fn) if isinstance(n, ast.Name)}
+    names: Set[str] = set()
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Dict)
+            and any(isinstance(t, ast.Name) and t.id in read for t in node.targets)
+        ):
+            names.update(
+                k.value for k in node.value.keys
+                if isinstance(k, ast.Constant) and isinstance(k.value, str)
+            )
+    return names
+
+
 def _check_all_exports(tree: ast.Module, path: str) -> List[Finding]:
     """``__all__`` vs actually-bound names, both directions.
 
@@ -553,9 +577,11 @@ def _check_all_exports(tree: ast.Module, path: str) -> List[Finding]:
     "Public" for the unlisted direction means: names imported from
     ``repro.*`` modules or defined at top level, not starting with an
     underscore — stdlib/typing imports are implementation detail.
+    A module ``__getattr__`` (PEP 562) binds the string keys of every
+    top-level dict literal it reads by name.
     """
     findings: List[Finding] = []
-    bound: Set[str] = set()
+    bound: Set[str] = _lazy_exports(tree)
     public: Set[str] = set()
     all_names: Optional[List[Tuple[str, int]]] = None
     for node in tree.body:

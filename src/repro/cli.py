@@ -28,7 +28,6 @@ from repro.experiments import background as bg
 from repro.experiments import comparisons, mobility, random_bw, regions, static_bw
 from repro.experiments import overheads as ovh
 from repro.experiments import handover as handover_exp
-from repro.check import packet as pv
 from repro.experiments import streaming as stream_exp
 from repro.experiments import upload as upload_exp
 from repro.experiments import web as web_exp
@@ -730,6 +729,8 @@ def _cmd_check(args) -> int:
 def _cmd_validate(args) -> int:
     if args.engine == "flow":
         return _validate_flow(args)
+    from repro.check import packet as pv
+
     report, comparisons = pv.run_engine_agreement(size_bytes=mib(args.size_mb))
     rows = []
     for c in comparisons:

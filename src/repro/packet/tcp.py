@@ -17,8 +17,11 @@ receive buffer).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro import obs as _obs
 from repro.errors import ConfigurationError
 from repro.packet.link import PacketLink, Segment
 from repro.sim.engine import EventHandle, Simulator
@@ -47,7 +50,9 @@ class SubflowReceiver:
         self.rcv_nxt = 0.0
         self._deliver = deliver
         self._buffered: Dict[float, Segment] = {}
-        self._last_ooo_seq: Optional[float] = None
+        self._starts: List[float] = []  # buffered coverage as disjoint
+        self._ends: List[float] = []  # ranges [_starts[i], _ends[i]), ascending
+        self._last_ooo_seq = -1.0  # seq of the latest out-of-order arrival
         self.duplicate_segments = 0
 
     def on_segment(self, segment: Segment) -> Tuple[float, SackBlocks]:
@@ -56,12 +61,20 @@ class SubflowReceiver:
             self.duplicate_segments += 1
         elif segment.seq > self.rcv_nxt:
             self._buffered.setdefault(segment.seq, segment)
-            self._last_ooo_seq = segment.seq
+            self._last_ooo_seq = start = segment.seq
+            end = start + segment.size
+            # Merge [start, end) into the ranges; touching ranges join.
+            lo, hi = bisect_left(self._ends, start), bisect_right(self._starts, end)
+            if lo < hi:
+                start, end = min(start, self._starts[lo]), max(end, self._ends[hi - 1])
+            self._starts[lo:hi], self._ends[lo:hi] = [start], [end]
         else:
             # In order (possibly overlapping the left edge).
             self._advance(segment)
             while self.rcv_nxt in self._buffered:
                 self._advance(self._buffered.pop(self.rcv_nxt))
+            delivered = bisect_right(self._ends, self.rcv_nxt)
+            del self._starts[:delivered], self._ends[:delivered]
         return self.rcv_nxt, self.sack_blocks()
 
     def sack_blocks(self) -> SackBlocks:
@@ -73,37 +86,19 @@ class SubflowReceiver:
         just the lowest few — essential when loss is heavy and only a
         handful of blocks fit per ACK.
         """
-        if not self._buffered:
-            return ()
-        blocks: List[Tuple[float, float]] = []
-        start: Optional[float] = None
-        end = 0.0
-        for seq in sorted(self._buffered):
-            segment = self._buffered[seq]
-            if start is None:
-                start, end = seq, seq + segment.size
-            elif seq <= end:
-                end = max(end, seq + segment.size)
-            else:
-                blocks.append((start, end))
-                start, end = seq, seq + segment.size
-        blocks.append((start, end))  # type: ignore[arg-type]
-        if self._last_ooo_seq is not None:
-            for i, (b_start, b_end) in enumerate(blocks):
-                if b_start <= self._last_ooo_seq < b_end:
-                    blocks.insert(0, blocks.pop(i))
-                    break
+        starts, ends = self._starts, self._ends
+        blocks = list(zip(starts[:MAX_SACK_BLOCKS], ends[:MAX_SACK_BLOCKS]))
+        last = self._last_ooo_seq
+        i = bisect_right(starts, last) - 1
+        if i >= 0 and last < ends[i]:
+            if i < MAX_SACK_BLOCKS:
+                del blocks[i]
+            blocks.insert(0, (starts[i], ends[i]))
         return tuple(blocks[:MAX_SACK_BLOCKS])
 
     def _advance(self, segment: Segment) -> None:
-        new_end = segment.seq + segment.size
-        self.rcv_nxt = max(self.rcv_nxt, new_end)
+        self.rcv_nxt = max(self.rcv_nxt, segment.seq + segment.size)
         self._deliver(segment.dsn, segment.size)
-
-    @property
-    def buffered_segments(self) -> int:
-        """Out-of-order segments held for reassembly."""
-        return len(self._buffered)
 
 
 class PacketTcpConnection:
@@ -145,10 +140,13 @@ class PacketTcpConnection:
         self._order: List[float] = []  # unacked seqs, ascending
         self._sacked: set = set()  # seqs covered by SACK blocks
         self._rtx_done: set = set()  # lost seqs already retransmitted
+        self._rtx_bytes = 0.0  # bytes of the unSACKed ones among them
+        self._rtx_from = 0.0  # every seq below is SACKed or retransmitted
         self._highest_sacked = 0.0
         self._all_lost = False  # post-RTO: every unSACKed segment is lost
         self._rto_handle: Optional[EventHandle] = None
         self._rto_backoff = 1.0
+        self._prof = _obs.profiler_or_none()
         self.fast_retransmits = 0
         self.timeouts = 0
         self.bytes_acked_total = 0.0
@@ -193,28 +191,18 @@ class PacketTcpConnection:
         return self.snd_nxt - self.snd_una
 
     def _pipe(self) -> float:
-        """Bytes considered in flight under the SACK scoreboard: unacked
-        and not SACKed, excluding lost segments that have not been
-        retransmitted (RFC 6675's pipe, simplified)."""
-        pipe = 0.0
-        for seq in self._order:
-            segment = self._segments[seq]
-            if seq in self._sacked:
-                continue
-            if self._is_lost(seq) and seq not in self._rtx_done:
-                continue
-            pipe += segment.size
+        """Bytes in flight (RFC 6675's pipe, simplified): unacked, not
+        SACKed, and not a lost segment awaiting its retransmission.  No
+        scan: DESIGN.md (``packet/``) states the invariants used."""
+        if self._all_lost:  # after an RTO every unSACKed segment is lost
+            return self._rtx_bytes
+        hs, una = self._highest_sacked, self.snd_una
+        pipe = max(0.0, self.snd_nxt - max(hs, una)) + self._rtx_bytes
+        if una in self._rtx_done and una not in self._sacked:
+            size = self._segments[una].size
+            if una + size > hs:  # the forced retransmission: counted once
+                pipe -= size
         return pipe
-
-    def _is_lost(self, seq: float) -> bool:
-        """A hole below the highest SACKed byte counts as lost; after an
-        RTO every unSACKed segment does (RFC 6675 §5.1)."""
-        if seq in self._sacked:
-            return False
-        if self._all_lost:
-            return True
-        segment = self._segments[seq]
-        return seq + segment.size <= self._highest_sacked
 
     def _try_send(self) -> None:
         if self.closed:
@@ -239,9 +227,7 @@ class PacketTcpConnection:
             dsn, size = chunk
             if size <= 0:
                 break
-            segment = Segment(
-                seq=self.snd_nxt, size=size, dsn=dsn, sent_at=self.sim.now
-            )
+            segment = Segment(seq=self.snd_nxt, size=size, dsn=dsn, sent_at=self.sim.now)
             self._segments[segment.seq] = segment
             self._order.append(segment.seq)
             self.snd_nxt += size
@@ -256,6 +242,13 @@ class PacketTcpConnection:
     # ACK clock
 
     def _on_ack(self, ack_no: float, sacks: "SackBlocks" = ()) -> None:
+        if self._prof is not None:
+            with self._prof.span("packet.tcp.ack"):
+                self._ack_clock(ack_no, sacks)
+            return
+        self._ack_clock(ack_no, sacks)
+
+    def _ack_clock(self, ack_no: float, sacks: "SackBlocks") -> None:
         if self.closed:
             return
         self._absorb_sacks(sacks)
@@ -266,26 +259,30 @@ class PacketTcpConnection:
         self._try_send()
 
     def _absorb_sacks(self, sacks: "SackBlocks") -> None:
+        order, segments, sacked = self._order, self._segments, self._sacked
         for start, end in sacks:
             self._highest_sacked = max(self._highest_sacked, end)
-            for seq in self._order:
-                if seq in self._sacked:
-                    continue
-                segment = self._segments[seq]
-                if start <= seq and seq + segment.size <= end:
-                    self._sacked.add(seq)
+            for i in range(bisect_left(order, start), len(order)):
+                seq = order[i]
+                size = segments[seq].size
+                if seq + size > end:
+                    break
+                if seq not in sacked:
+                    sacked.add(seq)
+                    if seq in self._rtx_done:
+                        self._rtx_bytes -= size
 
     def _on_new_ack(self, ack_no: float) -> None:
         acked = ack_no - self.snd_una
         self.bytes_acked_total += acked
         self.snd_una = ack_no
         self.dup_acks = 0
-        self._sample_rtt(ack_no)  # before the acked segments are dropped
         self._drop_acked(ack_no)
         if self.in_recovery and ack_no >= self.recovery_point:
             self.in_recovery = False
             self._all_lost = False
             self._rtx_done.clear()
+            self._rtx_bytes = self._rtx_from = 0.0
         if not self.in_recovery or self._all_lost:
             # Post-RTO recovery is slow start: the window grows while
             # the scoreboard paces the retransmissions.
@@ -322,36 +319,30 @@ class PacketTcpConnection:
         the segment at ``snd_una`` even if the SACK scoreboard has no
         evidence yet (classic 3-dupack fast retransmit before any SACK
         arrived)."""
-        for seq in self._order:
-            if (
-                not self._all_lost
-                and seq >= self._highest_sacked
-                and not (force_first and seq == self.snd_una)
-            ):
-                break  # nothing beyond the highest SACK can be "lost" yet
+        order = self._order
+        for i in range(bisect_left(order, self._rtx_from), len(order)):
+            seq = order[i]
             if seq in self._sacked or seq in self._rtx_done:
                 continue
-            if self._is_lost(seq) or (force_first and seq == self.snd_una):
+            self._rtx_from = seq
+            if self._all_lost or (force_first and seq == self.snd_una):
                 return self._retransmit(seq)
+            if seq + self._segments[seq].size <= self._highest_sacked:
+                return self._retransmit(seq)
+            return None  # nothing beyond the highest SACK can be "lost" yet
+        self._rtx_from = self.snd_nxt
         return None
 
     def _retransmit(self, seq: float) -> bool:
         """Retransmit one segment; False if the queue rejected it (the
         segment stays eligible for a later attempt)."""
-        segment = self._segments.get(seq)
-        if segment is None:
-            return True
-        resend = Segment(
-            seq=segment.seq,
-            size=segment.size,
-            dsn=segment.dsn,
-            sent_at=self.sim.now,
-            retransmit=True,
-        )
+        resend = replace(self._segments[seq], sent_at=self.sim.now, retransmit=True)
         accepted = self.link.send(resend, self._segment_arrived)
         if accepted:
-            self._segments[resend.seq] = resend
+            self._segments[seq] = resend
             self._rtx_done.add(seq)
+            if seq not in self._sacked:
+                self._rtx_bytes += resend.size
             self._arm_rto()
         return accepted
 
@@ -370,6 +361,13 @@ class PacketTcpConnection:
 
     def _rto_fired(self) -> None:
         self._rto_handle = None
+        if self._prof is not None:
+            with self._prof.span("packet.tcp.rto"):
+                self._timeout()
+            return
+        self._timeout()
+
+    def _timeout(self) -> None:
         if self.closed or self.flight_size <= 0:
             return
         self.timeouts += 1
@@ -383,6 +381,7 @@ class PacketTcpConnection:
         self.recovery_point = self.snd_nxt
         self._all_lost = True
         self._rtx_done.clear()  # everything may be retransmitted again
+        self._rtx_bytes = self._rtx_from = 0.0
         self._rto_backoff = min(64.0, self._rto_backoff * 2.0)
         if self._order:
             self._retransmit(self._order[0])
@@ -394,22 +393,21 @@ class PacketTcpConnection:
     # bookkeeping
 
     def _drop_acked(self, ack_no: float) -> None:
-        while self._order and self._order[0] < ack_no:
-            seq = self._order.pop(0)
-            self._segments.pop(seq, None)
-            self._sacked.discard(seq)
-            self._rtx_done.discard(seq)
-
-    def _sample_rtt(self, ack_no: float) -> None:
-        # Karn's rule: only segments never retransmitted produce samples.
-        # The segment ending exactly at ack_no is the freshest candidate;
-        # approximate by using the most recent fully-acked original.
+        """Drop the segments ``ack_no`` covers; the RTT sample is the most
+        recently sent original among them (Karn's rule; earliest of equals)."""
+        order, segments = self._order, self._segments
+        acked = bisect_left(order, ack_no)
         candidate: Optional[Segment] = None
-        for seq, segment in list(self._segments.items()):
+        for i in range(acked):
+            seq = order[i]
+            segment = segments.pop(seq)
             if seq + segment.size <= ack_no and not segment.retransmit:
                 if candidate is None or segment.sent_at > candidate.sent_at:
                     candidate = segment
-        if candidate is not None:
-            sample = self.sim.now - candidate.sent_at
-            if sample > 0:
-                self.rtt.observe(sample)
+            if seq in self._rtx_done and seq not in self._sacked:
+                self._rtx_bytes -= segment.size
+            self._rtx_done.discard(seq)
+            self._sacked.discard(seq)
+        del order[:acked]
+        if candidate is not None and self.sim.now > candidate.sent_at:
+            self.rtt.observe(self.sim.now - candidate.sent_at)

@@ -65,7 +65,6 @@ from repro.runtime.perf import PerfMeter, PerfRecord
 from repro.runtime.progress import ProgressReporter, ProgressSnapshot
 from repro.runtime.queue import Job, JobQueue, QueueStats
 from repro.runtime.scheduler import RetryPolicy, Scheduler, TimeoutPolicy
-from repro.runtime.service import ExperimentService, SweepPlan, plan_sweep
 from repro.runtime.spec import (
     BuilderEntry,
     RunSpec,
@@ -78,6 +77,22 @@ from repro.runtime.spec import (
     registered_builders,
 )
 from repro.runtime.store import SegmentStore, StoreTelemetry
+
+#: Re-exported on first use (PEP 562): the service pulls in
+#: ``http.server``, which nothing but the service needs.
+_LAZY_EXPORTS = {
+    "ExperimentService": "repro.runtime.service",
+    "SweepPlan": "repro.runtime.service",
+    "plan_sweep": "repro.runtime.service",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY_EXPORTS:
+        import importlib
+
+        return getattr(importlib.import_module(_LAZY_EXPORTS[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "Batch",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro import obs as _obs
 from repro.errors import SimulationError
@@ -86,9 +86,6 @@ class EventHandle:
         """True while the event has neither fired nor been cancelled."""
         return not self.cancelled and self.callback is not None
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<EventHandle t={self.time:.6f} seq={self.seq} {state}>"
@@ -110,7 +107,9 @@ class Simulator:
     def __init__(self) -> None:
         self._now = 0.0
         self._seq = 0
-        self._queue: List[EventHandle] = []
+        # ``(time, seq, handle)``: tuples order in C, and the unique
+        # ``seq`` settles equal times before the handle is compared.
+        self._queue: List[Tuple[float, int, EventHandle]] = []
         self._running = False
         self._stopped = False
         self.events_processed = 0
@@ -146,9 +145,10 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event in the past: {time} < now {self._now}"
             )
-        handle = EventHandle(time, self._seq, callback, tuple(args))
-        self._seq += 1
-        heapq.heappush(self._queue, handle)
+        seq = self._seq
+        handle = EventHandle(time, seq, callback, args)
+        self._seq = seq + 1
+        heapq.heappush(self._queue, (time, seq, handle))
         return handle
 
     def stop(self) -> None:
@@ -158,10 +158,10 @@ class Simulator:
     def peek(self) -> Optional[float]:
         """Time of the next pending event, or None if the queue is empty."""
         self._drop_cancelled()
-        return self._queue[0].time if self._queue else None
+        return self._queue[0][0] if self._queue else None
 
     def _drop_cancelled(self) -> None:
-        while self._queue and self._queue[0].cancelled:
+        while self._queue and self._queue[0][2].cancelled:
             heapq.heappop(self._queue)
 
     def step(self) -> bool:
@@ -169,9 +169,8 @@ class Simulator:
         self._drop_cancelled()
         if not self._queue:
             return False
-        handle = heapq.heappop(self._queue)
+        self._now, _, handle = heapq.heappop(self._queue)
         assert handle.callback is not None
-        self._now = handle.time
         callback, args = handle.callback, handle.args
         # Mark fired before invoking so a callback cancelling its own
         # handle is harmless.
@@ -214,7 +213,7 @@ class Simulator:
                 self._drop_cancelled()
                 if not self._queue:
                     break
-                if until is not None and self._queue[0].time > until:
+                if until is not None and self._queue[0][0] > until:
                     break
                 self.step()
                 processed += 1
@@ -233,4 +232,4 @@ class Simulator:
 
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events in the queue."""
-        return sum(1 for h in self._queue if not h.cancelled)
+        return sum(1 for _, _, h in self._queue if not h.cancelled)

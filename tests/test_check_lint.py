@@ -350,6 +350,21 @@ def test_rep107_stdlib_imports_are_not_public():
     assert lint_source(textwrap.dedent(src), "src/repro/fake/__init__.py") == []
 
 
+def test_rep107_module_getattr_binds_its_lazy_names():
+    src = """
+        _LAZY = {"Service": "repro.fake.service"}
+        _OTHER = {"ghost": "repro.fake.ghost"}
+
+        def __getattr__(name):
+            return _LAZY[name]
+
+        __all__ = ["Service", "ghost"]
+    """
+    findings = lint_source(textwrap.dedent(src), "src/repro/fake/__init__.py")
+    assert rules(findings) == ["REP107"]
+    assert "ghost" in findings[0].message
+
+
 # ---------------------------------------------------------------------------
 # noqa suppression
 

@@ -20,18 +20,32 @@ def run_cli(capsys, *argv):
 def test_cli_import_does_not_load_numpy():
     """numpy is imported by the code that computes with it (the fitting
     functions, the offline table builders, the flow tier), not by CLI
-    start-up."""
+    start-up; likewise the static checks (``repro.check``) and the HTTP
+    experiment service, which only their own commands use."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH", "")) if p
     )
-    probe = "import sys, repro.cli; print('numpy' in sys.modules)"
+    lazy = ("numpy", "repro.check", "repro.runtime.service", "http.server")
+    probe = f"import sys, repro.cli; print([m for m in {lazy!r} if m in sys.modules])"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
         check=True,
     ).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
+
+
+def test_runtime_serves_the_service_names_on_first_use():
+    import repro.runtime as runtime
+    from repro.runtime.service import ExperimentService, SweepPlan, plan_sweep
+
+    assert runtime.ExperimentService is ExperimentService
+    assert runtime.SweepPlan is SweepPlan
+    assert runtime.plan_sweep is plan_sweep
+    assert set(runtime._LAZY_EXPORTS) <= set(runtime.__all__)
+    with pytest.raises(AttributeError):
+        runtime.no_such_name  # noqa: B018
 
 
 def test_list_names_all_experiments(capsys):
