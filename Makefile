@@ -23,7 +23,7 @@ check:  ## static tiers: lint + dataflow vs baselines + config verification
 
 lint: check
 
-trace-smoke:  ## one traced smoke run; its run records must pass CHK3xx/CHK7xx
+trace-smoke:  ## one traced smoke run; its run records must pass CHK3xx
 	rm -rf .trace-smoke
 	PYTHONPATH=src $(PY) -m repro.cli fig6 --runs 1 --size-mb 2 --trace \
 		--metrics --no-progress --cache-dir .trace-smoke > /dev/null
@@ -69,11 +69,10 @@ service-smoke:  ## HTTP service round trip: warm resubmit must be all hits
 		--cache-dir .service-smoke --size-mb 1 --jobs 2
 	rm -rf .service-smoke
 
-obs-smoke:  ## distributed-trace loop: sweep over HTTP, scrape /v1/metrics, reassemble + CHK7xx
+obs-smoke:  ## metrics loop: scrape /v1/metrics, sweep over HTTP, per-job stream events, CHK3xx by hash
 	rm -rf .obs-smoke
 	timeout 180 env PYTHONPATH=src $(PY) tests/service_smoke.py obs \
 		--cache-dir .obs-smoke --size-mb 2 --jobs 2
-	PYTHONPATH=src $(PY) -m repro.cli trace tree .obs-smoke/obs > /dev/null
 	PYTHONPATH=src $(PY) -m repro.cli check trace .obs-smoke/obs
 	rm -rf .obs-smoke
 

@@ -28,10 +28,7 @@ validation into the same vocabulary, :mod:`repro.check.flow` does the
 same for the analytic flow tier (CHK504/CHK505), and :mod:`repro.check.perf`
 (CHK6xx) verifies perf telemetry — manifest perf-record schema and
 consistency, span-tree well-formedness, and parent/child time
-conservation.  :mod:`repro.check.disttrace` (CHK7xx) validates
-distributed-trace topology over the lifecycle-span exports: every run
-span reachable from its batch root, exactly one root per trace, time
-containment, and stamped run exports resolving to real spans.
+conservation.
 
 CLI: ``repro check <lint|dataflow|config|trace|determinism|perf|all>``;
 ``make check`` runs the static tiers.  Rule catalog: ``CHECKS.md``.
@@ -64,7 +61,6 @@ from repro.check.dataflow import (
     analyze_sources,
 )
 from repro.check.determinism import check_determinism
-from repro.check.disttrace import check_trace_topology
 from repro.check.findings import (
     Finding,
     Report,
@@ -119,7 +115,6 @@ __all__ = [
     "check_events",
     "check_trace_file",
     "check_traces",
-    "check_trace_topology",
     "check_determinism",
     "FLOW_AGREEMENT_PROTOCOLS",
     "FlowComparison",

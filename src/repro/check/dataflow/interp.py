@@ -69,10 +69,6 @@ DETERMINISTIC_MODULES = (
     "repro.runtime.queue",
     "repro.runtime.scheduler",
     "repro.runtime.store",
-    # Distributed-trace IDs are sha256-derived from batch content;
-    # the module takes timestamps as arguments (clock-free) so that
-    # replayed batches reassemble into the same span tree.
-    "repro.obs.dist",
 )
 
 #: The blessed wall-clock boundary.  Values returned by these modules

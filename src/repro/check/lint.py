@@ -66,11 +66,6 @@ DETERMINISTIC_MODULES = (
     ("runtime", "queue.py"),
     ("runtime", "scheduler.py"),
     ("runtime", "store.py"),
-    # Trace/span IDs must be content-derived (sha256), never
-    # uuid4-on-wallclock: replayed batches must land in the same ID
-    # space.  The module is clock-free by design — callers pass
-    # timestamps in through the runtime clock seam.
-    ("obs", "dist.py"),
 )
 
 #: Wall-clock attributes of the ``time`` module (REP101).

@@ -372,9 +372,9 @@ def _obs_options(args) -> Optional[ObsOptions]:
     """Per-run obs capture from the shared ``--trace``/``--metrics``/
     ``--profile`` flags (None when none is set).
 
-    For the service, lifecycle spans and ``/v1/metrics`` are always on;
-    this only governs whether each executed run additionally writes a
-    run record into the obs dir."""
+    For the service, ``/v1/metrics`` and the stream's per-job events
+    are always on; this only governs whether each executed run
+    additionally writes a run record into the obs dir."""
     if not (args.trace or args.metrics or args.profile):
         return None
     return ObsOptions(dir=args.obs_dir, trace=args.trace,
@@ -408,8 +408,7 @@ def _format_top(status: dict) -> str:
     ``/v1/status`` document."""
     lines = [
         f"-- experiment service · up {status.get('uptime_s', 0.0):.1f}s · "
-        f"{len(status.get('batches', {}))} batch(es) · "
-        f"{status.get('spans_recorded', 0)} span(s) --"
+        f"{len(status.get('batches', {}))} batch(es) --"
     ]
     queue = status.get("queue", {})
     lines.append(
@@ -475,26 +474,15 @@ def _cmd_trace(args) -> int:
     # like `trace summarise` must list the choices, not complain about
     # (or create state under) the default trace directory.
     sub = args.subcommand or "summarize"
-    if sub not in ("summarize", "timeline", "tree"):
-        print(f"unknown trace subcommand {sub!r}; choose summarize, "
-              f"timeline, or tree", file=sys.stderr)
+    if sub not in ("summarize", "timeline"):
+        print(f"unknown trace subcommand {sub!r}; choose summarize "
+              f"or timeline", file=sys.stderr)
         return 2
     target = Path(args.target) if args.target else Path(args.cache_dir) / "obs"
     if not target.exists():
         print(f"error: no traces at {target} (run with --trace first, or pass "
               f"a trace file/directory)", file=sys.stderr)
         return 2
-    if sub == "tree":
-        from repro.obs.tree import format_trace_forest, load_trace_forest
-
-        trace_prefix = args.extra[0] if args.extra else None
-        try:
-            trees = load_trace_forest(target, trace_id=trace_prefix)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(format_trace_forest(trees), end="")
-        return 0 if trees else 1
     if sub == "summarize":
         try:
             summary = summarize_target(target)
@@ -685,12 +673,7 @@ def _cmd_check(args) -> int:
                       f"or pass a trace file/directory)", file=sys.stderr)
                 return 2
         else:
-            from repro.check.findings import merge_reports as _merge
-
-            report = _merge("trace", [
-                chk.check_traces(target),
-                chk.check_trace_topology(target),
-            ])
+            report = chk.check_traces(target)
             print(report.format())
             status = max(status, 0 if report.ok else 1)
     if sub == "determinism":
@@ -901,7 +884,7 @@ def _cmd_streaming(args) -> int:
 _COMMANDS = {
     "list": (_cmd_list, "list available experiments"),
     "cache": (_cmd_cache, "inspect (stats) or empty (clear) the result cache"),
-    "trace": (_cmd_trace, "summarize, timeline, or tree exported run records"),
+    "trace": (_cmd_trace, "summarize or timeline exported run records"),
     "check": (_cmd_check, "static lint / config / trace / perf-invariant checks"),
     "perf": (_cmd_perf, "profile one run's hot paths (perf profile)"),
     "run": (_cmd_run, "run one protocol on good|bad WiFi (--engine fluid|packet|flow)"),
@@ -945,7 +928,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "subcommand", nargs="?", default=None,
         help="cache subcommand: stats (default) or clear; "
-             "trace subcommand: summarize (default), timeline, or tree; "
+             "trace subcommand: summarize (default) or timeline; "
              "check subcommand: lint, dataflow, config, trace, determinism, perf, "
              "or all (default); perf subcommand: profile (default); "
              "service subcommand: serve (default) or "
@@ -964,7 +947,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "extra", nargs="*", default=[],
         help="remaining positionals: the WiFi quality good|bad "
-             "(perf profile) or a trace-id prefix filter (trace tree)",
+             "(perf profile)",
     )
     parser.add_argument(
         "--engine", default="fluid",

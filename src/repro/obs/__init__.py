@@ -52,14 +52,6 @@ from repro.obs.trace import (
     write_run_record,
 )
 from repro.obs.events import EVENT_SCHEMA, validate_event, validate_events
-from repro.obs.dist import (
-    LifecycleSpan,
-    SpanRecorder,
-    TraceContext,
-    derive_trace_id,
-    root_context,
-    span_id_for,
-)
 
 __all__ = [
     "Tracer",
@@ -86,12 +78,6 @@ __all__ = [
     "write_run_record",
     "iter_trace_files",
     "DEFAULT_RING_SIZE",
-    "LifecycleSpan",
-    "SpanRecorder",
-    "TraceContext",
-    "derive_trace_id",
-    "root_context",
-    "span_id_for",
 ]
 
 
@@ -103,11 +89,7 @@ class ObsSession:
     metrics: Optional[MetricsRegistry] = None
     profiler: Optional[Profiler] = None
 
-    def export(
-        self,
-        path: Union[str, Path],
-        stamp: Optional[Dict[str, str]] = None,
-    ) -> Path:
+    def export(self, path: Union[str, Path]) -> Path:
         """File this capture as one run record at ``path``."""
         return write_run_record(
             path,
@@ -118,7 +100,6 @@ class ObsSession:
             metrics=(
                 self.metrics.to_dict() if self.metrics is not None else None
             ),
-            stamp=stamp,
         )
 
 

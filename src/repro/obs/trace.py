@@ -13,8 +13,9 @@ per-type field contracts live in :mod:`repro.obs.events`.
 A captured run is filed as one **run record**, ``<hash>.trace.jsonl``:
 one line per event, then at most one trailing line per other capture —
 ``{"record": "profile", "data": <Profiler.to_dict()>}`` and
-``{"record": "metrics", "data": <MetricsRegistry.to_dict()>}``.  Every
-line carries the run's ``trace_id``/``span_id`` stamp when it has one.
+``{"record": "metrics", "data": <MetricsRegistry.to_dict()>}``.  The
+file is named by the run's spec hash, the one identity the manifest
+line and the service's stream event also carry.
 :func:`write_run_record` writes that file and :func:`read_run_record`
 is the one reader every tool uses.
 """
@@ -25,7 +26,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Deque, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Deque, Dict, Iterable, Iterator, List, Optional, Union
 
 #: Default ring capacity.  A smoke-scale run emits a few thousand
 #: events; paper-scale runs tens of thousands.  The ring bounds memory
@@ -87,8 +88,6 @@ class RunRecord:
     profile: Optional[Dict[str, Any]] = None
     #: The :meth:`MetricsRegistry.to_dict` payload (``--metrics`` runs).
     metrics: Optional[Dict[str, Any]] = None
-    #: ``(trace_id, span_id)`` of the first line; None when unstamped.
-    stamp: Optional[Tuple[str, str]] = None
 
 
 def write_run_record(
@@ -96,21 +95,18 @@ def write_run_record(
     events: Iterable[Dict[str, Any]] = (),
     profile: Optional[Dict[str, Any]] = None,
     metrics: Optional[Dict[str, Any]] = None,
-    stamp: Optional[Dict[str, str]] = None,
 ) -> Path:
     """Write one run record: the events, then the trailing profile and
-    metrics records; ``stamp`` is merged into every line."""
+    metrics records."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    extra = dict(stamp or {})
     trailing = {"profile": profile, "metrics": metrics}
     with open(path, "w") as fh:
         for event in events:
-            doc = {**event, **extra} if extra else event
-            fh.write(json.dumps(doc, sort_keys=True) + "\n")
+            fh.write(json.dumps(event, sort_keys=True) + "\n")
         for kind in TRAILING_RECORDS:
             if trailing[kind] is not None:
-                doc = {"record": kind, "data": trailing[kind], **extra}
+                doc = {"record": kind, "data": trailing[kind]}
                 fh.write(json.dumps(doc, sort_keys=True) + "\n")
     return path
 
@@ -138,20 +134,15 @@ def read_jsonl(path: Union[str, Path]) -> List[Dict[str, Any]]:
 
 
 def read_run_record(path: Union[str, Path]) -> RunRecord:
-    """Read one run record back into its events, profile, metrics and
-    stamp.
+    """Read one run record back into its events, profile and metrics.
 
     Raises ``ValueError`` on a malformed line (as :func:`read_jsonl`),
     on an unknown or repeated trailing record, and on an event after a
     trailing record.
     """
     record = RunRecord()
-    docs = read_jsonl(path)
-    first = docs[0] if docs else {}
-    if first.get("trace_id"):
-        record.stamp = (str(first["trace_id"]), str(first.get("span_id", "")))
     seen: List[str] = []
-    for doc in docs:
+    for doc in read_jsonl(path):
         kind = doc.get("record")
         if kind is None:
             if seen:

@@ -17,8 +17,9 @@ sit behind the :func:`run_many` facade:
   service (submit/stream/status) plus the sweep-DAG planner.
 
 Both front-ends, :func:`run_many` and the service, submit through one
-:class:`~repro.runtime.batch.Batch`: verification, the trace root,
-per-index outcomes and the batch-root span live there.
+:class:`~repro.runtime.batch.Batch`: verification, spec hashing and
+per-index outcomes live there, and each job's facts land on one
+record keyed by its spec hash (a manifest line, a stream event).
 
 Supporting cast, unchanged in spirit:
 

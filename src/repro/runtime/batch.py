@@ -5,10 +5,8 @@
 through :class:`Batch`.  It verifies nothing itself — callers run
 :func:`verify_batch` first — and owns everything after that:
 
-* the trace root: unsalted for ``run_many`` (re-running an identical
-  batch reuses its trace), salted with the batch id for the service;
-* submission into the :class:`~repro.runtime.queue.JobQueue`, each job
-  under its child context of the root;
+* submission into the :class:`~repro.runtime.queue.JobQueue`, each
+  spec hashed once and submitted under its spec hash;
 * each spec index's outcome, result or failure, by one rule (several
   indices may share one queue job through spec-hash dedup, within a
   batch or across batches):
@@ -20,12 +18,13 @@ through :class:`Batch`.  It verifies nothing itself — callers run
   - ``deduped`` for a submission that joined a job another one ran;
 
 * closing the batch once, when the last index settles and before the
-  batch reports :attr:`Batch.done`: the root lifecycle span, then one
-  cache-telemetry snapshot.
+  batch reports :attr:`Batch.done`: one cache-telemetry snapshot.
 
 Each front-end passes in only what it does with a settled index:
 ``run_many`` writes a manifest line and ticks progress, the service
-encodes a stream event.
+encodes a stream event.  Both records are keyed by the job's spec hash,
+which also names the run's record (``<hash>.trace.jsonl``) when runs
+are captured.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ import threading
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.obs import dist as _dist
-from repro.runtime import clock
 from repro.runtime.queue import FAILED, Job, JobQueue
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.spec import RunSpec
@@ -80,15 +77,7 @@ class Batch:
     ):
         self.specs = list(specs)
         self.batch_id = batch_id
-        self.created_t = clock.now()
         self.hashes = [spec.content_hash() for spec in self.specs]
-        #: The batch-root context; None when the scheduler records no
-        #: lifecycle spans.
-        self.root: Optional[_dist.TraceContext] = (
-            _dist.root_context(self.hashes, salt=batch_id)
-            if scheduler.recorder is not None
-            else None
-        )
         self.results: List[Any] = [None] * len(self.specs)
         self.failures: List[Tuple[int, BaseException]] = []
         #: Settled indices per outcome.
@@ -109,10 +98,6 @@ class Batch:
     def done(self) -> bool:
         return self.finished >= self.total
 
-    @property
-    def trace_id(self) -> str:
-        return self.root.trace_id if self.root is not None else ""
-
     def describe(self) -> Dict[str, Any]:
         with self._lock:
             return {
@@ -121,7 +106,6 @@ class Batch:
                 "finished": self.finished,
                 "outcomes": dict(self.outcomes),
                 "done": self.done,
-                "trace_id": self.trace_id,
             }
 
     def submit(
@@ -139,11 +123,6 @@ class Batch:
                 spec,
                 priority=priority,
                 after=after[index] if after is not None else (),
-                ctx=(
-                    self.root.child(_dist.SPAN_JOB, self.hashes[index])
-                    if self.root is not None
-                    else None
-                ),
                 spec_hash=self.hashes[index],
             )
             fresh_count += 1 if fresh else 0
@@ -181,24 +160,7 @@ class Batch:
             self.finished += 1
 
     def _close(self) -> None:
-        """Record the root span (submission → last index settled) and
-        one cache-telemetry snapshot.  Job spans are recorded before
-        their jobs turn terminal, so the root always ends last."""
-        recorder = self._scheduler.recorder
-        if self.root is not None and recorder is not None:
-            attrs: Dict[str, Any] = {"jobs": self.total}
-            if self.batch_id:
-                attrs.update(batch=self.batch_id, outcomes=dict(self.outcomes))
-            recorder.record(_dist.LifecycleSpan(
-                trace_id=self.root.trace_id,
-                span_id=self.root.span_id,
-                parent_span_id="",
-                name=_dist.SPAN_BATCH,
-                start_t=self.created_t,
-                end_t=clock.now(),
-                status="failed" if self.failures else "ok",
-                attrs=attrs,
-            ))
+        """Record one cache-telemetry snapshot for the batch."""
         if self._queue is not None:
             self._scheduler.flush_telemetry(self._queue)
 

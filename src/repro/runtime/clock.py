@@ -7,7 +7,7 @@ wall-clock observation they make goes through the three functions
 here instead.  With exactly one sanctioned entry point, the static
 tiers can verify the service layer never grows a second clock
 dependency, and every instant the runtime reads is accounted for:
-journal and lifecycle-span timestamps (:func:`now`), retry pacing and
+journal timestamps and queue waits (:func:`now`), retry pacing and
 deadlines (:func:`monotonic`), and run wall times (:func:`perf`).
 None of them feeds a simulation, so results stay a pure function of
 (spec, seed).
@@ -19,7 +19,7 @@ import time
 
 
 def now() -> float:
-    """Seconds since the epoch (journal and span timestamps)."""
+    """Seconds since the epoch (journal timestamps, queue waits)."""
     return time.time()
 
 

@@ -9,8 +9,8 @@ submits it as a :class:`~repro.runtime.batch.Batch` into a
 coalesce into one job with many waiters), and hands the queue to a
 :class:`~repro.runtime.scheduler.Scheduler`.  Cache lookup, pool
 management, timeouts, retries, and the serial fallback all live behind
-the scheduler; per-index outcomes, result ordering and the batch-root
-span live in the batch.  What is left here is what ``run_many`` does
+the scheduler; per-index outcomes and result ordering live in the
+batch.  What is left here is what ``run_many`` does
 with a settled run: one manifest line and one progress tick.
 
 Experiment modules call :func:`run_specs`, which executes under the
@@ -31,7 +31,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro import obs as _obs
 from repro.errors import ConfigurationError, ExecutionError
-from repro.obs import dist as _dist
 from repro.runtime.batch import Batch, verify_batch
 from repro.runtime.cache import ResultCache
 from repro.runtime.manifest import RunManifest
@@ -186,10 +185,6 @@ def run_many(
         obs=obs,
         cache=cache,
     )
-    # Lifecycle spans only when obs capture is on, so the disabled path
-    # pays nothing.
-    if obs is not None and obs.enabled:
-        scheduler.recorder = _dist.SpanRecorder(Path(obs.dir))
     reporter = auto_reporter(progress)
 
     def settle(index: int, outcome: str, job: Job) -> None:
@@ -231,14 +226,9 @@ def _record(
     job: Job,
     wall_s: float = 0.0,
 ) -> None:
-    """One manifest line for ``spec``, stamped with its job span's
-    ``(trace_id, span_id)`` ("" pair when tracing is off) and carrying
-    the job's spec hash, so the manifest does not hash the spec again."""
-    common = {
-        "trace_id": str(getattr(job.ctx, "trace_id", "")),
-        "span_id": str(getattr(job.ctx, "span_id", "")),
-        "spec_hash": job.spec_hash,
-    }
+    """One manifest line for ``spec``, carrying the job's queue wait
+    and its spec hash, so the manifest does not hash the spec again."""
+    common = {"wait_s": job.wait_s, "spec_hash": job.spec_hash}
     if outcome == "deduped":
         manifest.record(spec, outcome, worker="dedup", **common)
     elif outcome == "retried":

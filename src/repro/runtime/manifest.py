@@ -1,9 +1,11 @@
 """JSONL run manifests — the runtime's flight recorder.
 
-One line per run attempt: the spec (hash + label), the outcome, wall
-time, and which worker executed it.  A manifest answers "what actually
-ran?" after the fact — e.g. a warm-cache report shows ``executed: 0``
-with every run ``cached``.
+One line per run attempt: the spec (hash + label), the outcome, queue
+wait, wall time, and which worker executed it.  The spec hash also
+names the run's record (``<hash>.trace.jsonl``) when runs are
+captured.  A manifest answers "what actually ran?" after the fact —
+e.g. a warm-cache report shows ``executed: 0`` with every run
+``cached``.
 
 Outcomes:
 
@@ -53,10 +55,9 @@ class ManifestEntry:
     #: (None for cached/retried/failed lines and for manifests written
     #: before the perf-telemetry layer).
     perf: Optional[Dict[str, Any]] = None
-    #: Distributed-trace identity of the job that produced this line
-    #: ("" when tracing was off or the manifest predates the layer).
-    trace_id: str = ""
-    span_id: str = ""
+    #: Seconds the job waited in the queue before the scheduler first
+    #: picked it up or settled it from the cache.
+    wait_s: float = 0.0
 
 
 class RunManifest:
@@ -81,8 +82,7 @@ class RunManifest:
         attempt: int = 1,
         trace: str = "",
         perf: Optional[Dict[str, Any]] = None,
-        trace_id: str = "",
-        span_id: str = "",
+        wait_s: float = 0.0,
         spec_hash: Optional[str] = None,
     ) -> ManifestEntry:
         """Write one line for ``spec`` and return the entry.
@@ -105,8 +105,7 @@ class RunManifest:
             timestamp=time.time(),
             trace=trace,
             perf=dict(perf) if perf else None,
-            trace_id=trace_id,
-            span_id=span_id,
+            wait_s=wait_s,
         )
         if self._fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)

@@ -82,11 +82,9 @@ class Job:
     worker: str = ""
     trace: str = ""
     perf: Optional[Dict[str, Any]] = None
-    #: Distributed-trace context (:class:`repro.obs.dist.TraceContext`)
-    #: for this job's span; None when tracing is off or the job was
-    #: recovered from a journal (ctx is not journalled — a recovered
-    #: job re-executes without spans rather than fabricating them).
-    ctx: Optional[Any] = None
+    #: Seconds from submission until the scheduler first picked the job
+    #: up or settled it from the cache.
+    wait_s: float = 0.0
     #: Callbacks fired (outside the queue lock) when the job reaches a
     #: terminal state; :meth:`JobQueue.subscribe` refuses a job that
     #: already is, and its caller fires the callback itself.
@@ -173,16 +171,13 @@ class JobQueue:
         spec: RunSpec,
         priority: int = 0,
         after: Iterable[str] = (),
-        ctx: Optional[Any] = None,
         spec_hash: Optional[str] = None,
     ) -> Tuple[Job, bool]:
         """Enqueue ``spec`` (or join the existing job for its hash).
 
         Returns ``(job, fresh)`` — ``fresh`` is False when the spec
         coalesced into an already-queued (or already-finished) job;
-        :meth:`subscribe` to hear of its terminal transition.  ``ctx``
-        attaches a trace context; on dedup the first submitter's context
-        wins (its batch owns the span) unless none was attached yet.
+        :meth:`subscribe` to hear of its terminal transition.
         ``spec_hash`` is ``spec.content_hash()`` when the caller already
         has it.
         """
@@ -191,8 +186,6 @@ class JobQueue:
             job = self._jobs.get(spec_hash)
             if job is not None:
                 job.waiters += 1
-                if ctx is not None and job.ctx is None:
-                    job.ctx = ctx
                 self._stats["deduped"] += 1
                 self._journal("dedup", job)
                 return job, False
@@ -202,7 +195,6 @@ class JobQueue:
                 priority=priority,
                 after=tuple(dict.fromkeys(after)),
                 submitted_at=clock.now(),
-                ctx=ctx,
             )
             self._jobs[spec_hash] = job
             self._stats["submitted"] += 1

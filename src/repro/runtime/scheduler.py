@@ -24,7 +24,7 @@ This module is the execution half of the runtime split (the
   :meth:`Scheduler.stop`, woken at once by :meth:`Scheduler.kick`.
 
 The dispatcher thread does all of the scheduler's bookkeeping — cache
-reads and writes, metrics and lifecycle spans — so those structures,
+reads and writes, metrics and each job's queue wait — so those structures,
 which have no locks of their own, never see two scheduler threads at
 once.  The queue is shared with submitting threads, and it locks
 internally; its terminal callbacks are how each
@@ -43,17 +43,14 @@ read goes through the :mod:`repro.runtime.clock` seam.  The
 retry RNG is deliberately unseeded — the jitter exists to decorrelate,
 and never touches simulation results.
 
-Observability: when a :class:`~repro.obs.dist.SpanRecorder` is
-attached (``scheduler.recorder``), every job emits lifecycle spans —
-``queue.wait`` (submit→pop), one ``job.exec`` per attempt (annotated
-with pool/worker/status), and a terminal ``job`` span — all under the
-batch's deterministic trace id, with each run record stamped
-with the executing attempt's ``(trace_id, span_id)``.  A
+Observability: each job carries its own facts — queue wait
+(``Job.wait_s``, submission until first pick-up or cache hit), wall
+time, worker, attempts and run-record path — which each front-end files
+on its one per-job record, keyed by spec hash.  A
 :class:`~repro.obs.metrics.MetricsRegistry` on the scheduler counts
 retries/timeouts/crashes/cache hits for the service's ``/v1/metrics``
-plane.  A terminal failure stays visible as the failed ``job`` span
-(its exec span says ``error``, ``timeout`` or ``crashed``), the
-manifest's ``failed`` line and ``scheduler.jobs_failed``.
+plane.  A terminal failure stays visible as the manifest's ``failed``
+line (or the stream's failed job event) and ``scheduler.jobs_failed``.
 """
 
 from __future__ import annotations
@@ -79,7 +76,6 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import obs as _obs
-from repro.obs import dist as _dist
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime import clock
 from repro.runtime.cache import ResultCache
@@ -189,31 +185,16 @@ class TimeoutPolicy:
             signal.signal(signal.SIGALRM, previous)
 
 
-def _ctx_stamp(
-    ctx_dict: Optional[Dict[str, Any]]
-) -> Optional[Dict[str, str]]:
-    """The ``{trace_id, span_id}`` stamp for run exports, from a
-    wire-form :class:`~repro.obs.dist.TraceContext` dict (or None)."""
-    if not ctx_dict:
-        return None
-    trace_id = str(ctx_dict.get("trace_id", ""))
-    span_id = str(ctx_dict.get("span_id", ""))
-    if not trace_id:
-        return None
-    return {"trace_id": trace_id, "span_id": span_id}
-
-
 def _execute_observed(
     spec: RunSpec,
     options: Optional[_obs.ObsOptions],
-    stamp: Optional[Dict[str, str]] = None,
     spec_hash: Optional[str] = None,
 ) -> Tuple[Any, str]:
     """Run one spec, inside its own capture session when requested.
 
     Returns ``(result, trace_path)``: the path of the run's record,
-    ``<options.dir>/<hash>.trace.jsonl``, stamped with ``stamp`` (the
-    distributed-trace identity), or "" when observability is off.
+    ``<options.dir>/<hash>.trace.jsonl``, or "" when observability is
+    off.
     """
     if options is None or not options.enabled:
         return spec.execute(), ""
@@ -225,24 +206,21 @@ def _execute_observed(
     ) as session:
         result = spec.execute()
     path = Path(options.dir) / f"{spec_hash or spec.content_hash()}.trace.jsonl"
-    return result, str(session.export(path, stamp=stamp))
+    return result, str(session.export(path))
 
 
 def _worker_run(
     spec_dict: Dict[str, Any],
     timeout_s: Optional[float],
     obs_dict: Optional[Dict[str, Any]] = None,
-    ctx_dict: Optional[Dict[str, Any]] = None,
     spec_hash: Optional[str] = None,
 ) -> Tuple[Dict[str, Any], float, str, str, Dict[str, Any]]:
     """Pool-side entry point: rebuild the spec, run it, encode the result.
 
     Must stay a module-level function so it pickles under every
-    multiprocessing start method.  ``ctx_dict`` is the execution
-    attempt's trace context; its stamp lands on the run's exports so
-    they correlate back to the scheduler's lifecycle spans.
-    ``spec_hash`` is the spec's content hash, which the submitter
-    already has.
+    multiprocessing start method.  ``spec_hash`` is the spec's content
+    hash, which the submitter already has.  Returns ``(encoded, wall,
+    worker, trace, perf)``.
     """
     spec = RunSpec.from_dict(spec_dict)
     entry = get_builder(spec.builder)
@@ -252,9 +230,7 @@ def _worker_run(
     meter = PerfMeter(spec, spec_hash)
     start = clock.perf()
     with TimeoutPolicy(timeout_s).deadline():
-        result, trace = _execute_observed(
-            spec, options, stamp=_ctx_stamp(ctx_dict), spec_hash=spec_hash
-        )
+        result, trace = _execute_observed(spec, options, spec_hash)
     wall = clock.perf() - start
     perf = meter.finish(wall).to_dict()
     return entry.encode(result), wall, f"pid-{os.getpid()}", trace, perf
@@ -293,13 +269,12 @@ class InlineWorkerPool:
         spec: RunSpec,
         timeout: TimeoutPolicy,
         options: Optional[_obs.ObsOptions],
-        ctx: Optional[Dict[str, Any]] = None,
         spec_hash: Optional[str] = None,
     ) -> Future:
         """Run ``spec`` now; the returned future is already done."""
         future: Future = Future()
         try:
-            future.set_result(self._run(spec, timeout, options, ctx, spec_hash))
+            future.set_result(self._run(spec, timeout, options, spec_hash))
         except Exception as exc:
             future.set_exception(exc)
         return future
@@ -309,15 +284,12 @@ class InlineWorkerPool:
         spec: RunSpec,
         timeout: TimeoutPolicy,
         options: Optional[_obs.ObsOptions],
-        ctx: Optional[Dict[str, Any]] = None,
         spec_hash: Optional[str] = None,
     ) -> Tuple[Any, float, str, str, Dict[str, Any]]:
         meter = PerfMeter(spec, spec_hash)
         start = clock.perf()
         with timeout.deadline():
-            result, trace = _execute_observed(
-                spec, options, stamp=_ctx_stamp(ctx), spec_hash=spec_hash
-            )
+            result, trace = _execute_observed(spec, options, spec_hash)
         wall = clock.perf() - start
         return result, wall, "local", trace, meter.finish(wall).to_dict()
 
@@ -353,7 +325,6 @@ class ProcessWorkerPool:
         spec: RunSpec,
         timeout: TimeoutPolicy,
         options: Optional[_obs.ObsOptions],
-        ctx: Optional[Dict[str, Any]] = None,
         spec_hash: Optional[str] = None,
     ) -> Future:
         """Hand ``spec`` to a worker; a submission that cannot even be
@@ -367,7 +338,7 @@ class ProcessWorkerPool:
             if self._pool is None:
                 raise BrokenProcessPool("the process pool could not be rebuilt")
             return self._pool.submit(
-                _worker_run, spec.to_dict(), timeout.timeout_s, obs_dict, ctx,
+                _worker_run, spec.to_dict(), timeout.timeout_s, obs_dict,
                 spec_hash,
             )
         except Exception as exc:
@@ -420,8 +391,6 @@ class _Attempt:
     job: Job
     #: The last retry delay; decorrelated jitter feeds it back in.
     delay_s: float
-    exec_ctx: Optional[_dist.TraceContext] = None
-    span_start: float = 0.0
     start: float = 0.0
     generation: int = 0
 
@@ -452,9 +421,6 @@ class Scheduler:
         self._kick: Future = Future()
         self._stopping = False
         self.on_retry: Optional[Callable[[Job, float], None]] = None
-        #: Lifecycle-span sink (None = tracing off).  The executor and
-        #: the service attach one.
-        self.recorder: Optional[_dist.SpanRecorder] = None
         #: Live counters for the service metrics plane.  Pre-registered
         #: so every scrape sees the full series set from the start.
         self.metrics = MetricsRegistry()
@@ -472,103 +438,17 @@ class Scheduler:
         #: Exponentially-weighted events/sec over finished runs.
         self.events_ewma: Optional[float] = None
 
-    # -- lifecycle spans --------------------------------------------
-    #
-    # The same topology whichever pool ran the job (the parity the
-    # CHK7xx tier checks).  All are no-ops when no recorder is attached.
-
-    def _job_ctx(self, job: Job) -> Optional[_dist.TraceContext]:
-        if self.recorder is None:
-            return None
-        ctx = job.ctx
-        return ctx if isinstance(ctx, _dist.TraceContext) else None
-
-    def _record_wait(self, job: Job) -> None:
-        """The queue-wait span: submission until the scheduler first
-        picked the job up (or resolved it from cache)."""
-        ctx = self._job_ctx(job)
-        if ctx is None:
-            return
-        end_t = clock.now()
-        self.recorder.record(_dist.LifecycleSpan(
-            trace_id=ctx.trace_id,
-            span_id=_dist.span_id_for(
-                ctx.trace_id, _dist.SPAN_WAIT, job.spec_hash
-            ),
-            parent_span_id=ctx.span_id,
-            name=_dist.SPAN_WAIT,
-            start_t=job.submitted_at or end_t,
-            end_t=end_t,
-            attrs={"hash": job.spec_hash, "priority": job.priority},
-        ))
-
-    def _exec_ctx(self, job: Job) -> Optional[_dist.TraceContext]:
-        """Context for the *current attempt's* execution span.  The ID
-        is content-derived, so it is known before dispatch and the
-        worker can stamp its exports without a round trip."""
-        ctx = self._job_ctx(job)
-        if ctx is None:
-            return None
-        return ctx.child(_dist.SPAN_EXEC, job.spec_hash, job.attempts)
-
-    def _record_exec(
-        self,
-        job: Job,
-        exec_ctx: Optional[_dist.TraceContext],
-        start_t: float,
-        status: str,
-        worker: str,
-        shard: str,
-    ) -> None:
-        if exec_ctx is None or self.recorder is None:
-            return
-        self.recorder.record(_dist.LifecycleSpan(
-            trace_id=exec_ctx.trace_id,
-            span_id=exec_ctx.span_id,
-            parent_span_id=exec_ctx.parent_span_id,
-            name=_dist.SPAN_EXEC,
-            start_t=start_t,
-            end_t=clock.now(),
-            status=status,
-            attrs={
-                "hash": job.spec_hash,
-                "attempt": job.attempts,
-                "worker": worker,
-                "shard": shard,
-            },
-        ))
-
-    def _record_job_span(self, job: Job, outcome: str, status: str) -> None:
-        """The per-job span, recorded just before the job turns
-        terminal (so batch-completion callbacks observe it)."""
-        ctx = self._job_ctx(job)
-        if ctx is None:
-            return
-        end_t = clock.now()
-        self.recorder.record(_dist.LifecycleSpan(
-            trace_id=ctx.trace_id,
-            span_id=ctx.span_id,
-            parent_span_id=ctx.parent_span_id,
-            name=_dist.SPAN_JOB,
-            start_t=job.submitted_at or end_t,
-            end_t=end_t,
-            status=status,
-            attrs={
-                "hash": job.spec_hash,
-                "label": job.spec.label,
-                "outcome": outcome,
-                "attempts": job.attempts,
-                "worker": job.worker or "local",
-            },
-        ))
+    @staticmethod
+    def _note_wait(job: Job) -> None:
+        """Record the job's queue wait: submission until now, the
+        scheduler's first pick-up (or cache settle) of it."""
+        job.wait_s = max(0.0, clock.now() - job.submitted_at)
 
     def _mark_cached(self, job: Job, hit: Any, queue: JobQueue) -> None:
-        """Settle a cache hit with the same span topology as an
-        executed job (wait + terminal; no exec span — nothing ran)."""
+        """Settle a cache hit: nothing runs, the job just waited."""
         job.worker = "cache"
         self.metrics.counter("scheduler.cache_hits").inc()
-        self._record_wait(job)
-        self._record_job_span(job, "cached", "ok")
+        self._note_wait(job)
         queue.mark_done(job, "cached", hit)
 
     # -- cache ------------------------------------------------------
@@ -688,7 +568,7 @@ class Scheduler:
                     if hit is not None:
                         self._mark_cached(job, hit, queue)
                         continue
-                    self._record_wait(job)
+                    self._note_wait(job)
                     attempt = _Attempt(job, delay_s=self.retry.backoff_s)
                 self.inflight[pool.name] = len(running) + 1
                 running[self._launch(attempt, pool)] = attempt
@@ -715,16 +595,9 @@ class Scheduler:
     def _launch(self, attempt: _Attempt, pool: Any) -> Future:
         """Start the attempt's next execution on ``pool``."""
         job = attempt.job
-        attempt.exec_ctx = self._exec_ctx(job)
-        attempt.span_start = clock.now()
         attempt.start = clock.perf()
         attempt.generation = pool.generation
-        ctx = attempt.exec_ctx
-        return pool.submit(
-            job.spec, self.timeout, self.obs,
-            ctx.to_dict() if ctx is not None else None,
-            job.spec_hash,
-        )
+        return pool.submit(job.spec, self.timeout, self.obs, job.spec_hash)
 
     def _settle(
         self, attempt: _Attempt, future: Future, pool: Any, queue: JobQueue
@@ -743,10 +616,6 @@ class Scheduler:
                 pool.restart(attempt.generation)
             wall = 0.0 if crashed else clock.perf() - attempt.start
             job.worker = pool.name
-            self._record_exec(
-                job, attempt.exec_ctx, attempt.span_start,
-                "crashed" if crashed else "timeout", pool.name, pool.name,
-            )
             self.metrics.counter(
                 "scheduler.crashes" if crashed else "scheduler.timeouts"
             ).inc()
@@ -768,15 +637,8 @@ class Scheduler:
             # reproduce it, so fail immediately.
             job.wall_s = clock.perf() - attempt.start
             job.worker = pool.name
-            self._record_exec(
-                job, attempt.exec_ctx, attempt.span_start, "error",
-                pool.name, pool.name,
-            )
             self._fail_job(job, queue, exc)
             return None
-        self._record_exec(
-            job, attempt.exec_ctx, attempt.span_start, "ok", worker, pool.name
-        )
         self._finish_job(job, queue, result, wall, worker, trace, perf)
         return None
 
@@ -784,7 +646,6 @@ class Scheduler:
         self, job: Job, queue: JobQueue, exc: BaseException
     ) -> None:
         self.metrics.counter("scheduler.jobs_failed").inc()
-        self._record_job_span(job, "failed", "failed")
         queue.mark_failed(job, exc)
 
     def _finish_job(
@@ -812,7 +673,6 @@ class Scheduler:
                 + EWMA_ALPHA * float(events_per_sec)
             )
         self.metrics.counter("scheduler.jobs_done").inc()
-        self._record_job_span(job, "executed", "ok")
         queue.mark_done(job, "executed", result)
 
 

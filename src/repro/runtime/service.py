@@ -16,7 +16,8 @@ one execution and two streamed results).
 * ``POST /v1/sweep``   — a sweep request (see :func:`plan_sweep`)
   lowered into a warm-up DAG before submission;
 * ``GET /v1/stream/<batch-id>`` — one JSONL line per finished run
-  (result payload included), then a summary line; the response is
+  (spec hash, outcome, queue wait, wall time, worker, attempts and the
+  result payload), then a summary line; the response is
   connection-close delimited, so ``curl -N`` tails it live;
 * ``GET /v1/status``   — queue/cache/scheduler counters;
 * ``GET /v1/metrics``  — the live metrics plane: Prometheus text
@@ -27,10 +28,9 @@ one execution and two streamed results).
 Each submission is a :class:`~repro.runtime.batch.Batch`, the same
 type :func:`~repro.runtime.executor.run_many` submits through; the
 service adds only what a settled index becomes here, one JSONL stream
-event.  Every batch gets a deterministic distributed-trace id (salted
-with the batch id); job/queue-wait/exec lifecycle spans land as
-``<trace_id>.lifecycle.jsonl`` under the obs dir, reassembled by
-``emptcp-repro trace tree`` — see docs/OBSERVABILITY.md.
+event.  That event is the job's one record: it is keyed by the spec
+hash, which also names the run's record (``<hash>.trace.jsonl``) when
+the service captures runs — see docs/OBSERVABILITY.md.
 
 The sweep planner turns a ``sweep_config``-style request into a DAG:
 per seed, one *warm-up* run of the unmodified scenario, then every
@@ -52,7 +52,6 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.obs import ObsOptions
-from repro.obs import dist as _dist
 from repro.obs.prom import MetricFamily, registry_families, render_prometheus
 from repro.runtime import clock
 from repro.runtime.batch import Batch, verify_batch
@@ -167,14 +166,6 @@ class ExperimentService:
             journal=self.cache_dir / JOURNAL_NAME if journal else None
         )
         self.obs = obs
-        #: Lifecycle spans are always on for the service (they are per
-        #: job, not per event — cheap); run-level obs capture follows
-        #: ``obs``.  Both land under the obs dir so ``trace tree`` sees
-        #: one correlated directory.
-        self.obs_dir = (
-            Path(obs.dir) if obs is not None else self.cache_dir / "obs"
-        )
-        self.recorder = _dist.SpanRecorder(sink_dir=self.obs_dir)
         self.scheduler = Scheduler(
             jobs=jobs,
             retry=RetryPolicy(retries=retries),
@@ -182,7 +173,6 @@ class ExperimentService:
             obs=obs,
             cache=self.cache,
         )
-        self.scheduler.recorder = self.recorder
         self._thread: Optional[threading.Thread] = None
         self._lock = threading.Lock()
         self._batches: Dict[str, Batch] = {}
@@ -237,10 +227,6 @@ class ExperimentService:
         with self._lock:
             self._batch_seq += 1
             batch_id = f"b{self._batch_seq:05d}"
-            # Salted with the batch id: resubmitting the same specs in
-            # a later batch gets its own trace (cross-batch dedup means
-            # the later trace may have no exec spans — the first batch
-            # owns the execution).
             batch = Batch(
                 specs, self.scheduler, on_settle=emit, batch_id=batch_id
             )
@@ -349,7 +335,6 @@ class ExperimentService:
                 "last": snapshots[-1] if snapshots else None,
             },
             "scheduler": self.scheduler.metrics.to_dict()["counters"],
-            "spans_recorded": self.recorder.recorded,
             "events_per_sec_ewma": self.scheduler.events_ewma,
             "batches": batches,
         }
@@ -362,7 +347,7 @@ class ExperimentService:
         Series: queue lifetime counters and depth, per-pool in-flight
         gauges, the scheduler's retry/timeout/crash/cache counters,
         result-store telemetry with a derived hit ratio, store size
-        gauges, the events/sec EWMA, and recorder/batch totals.
+        gauges, the events/sec EWMA, the batch total and uptime.
         """
         families: List[MetricFamily] = []
         for key, value in self.queue.stats.to_dict().items():
@@ -435,13 +420,6 @@ class ExperimentService:
         )
         families.append(
             MetricFamily(
-                "repro_spans_recorded_total",
-                "counter",
-                "lifecycle spans recorded",
-            ).add(float(self.recorder.recorded))
-        )
-        families.append(
-            MetricFamily(
                 "repro_uptime_seconds", "gauge", "service uptime"
             ).add(max(0.0, clock.now() - self._started_t))
         )
@@ -459,6 +437,7 @@ def _job_event(
         "label": batch.specs[index].label,
         "hash": job.spec_hash,
         "outcome": outcome,
+        "wait_s": job.wait_s,
         "wall_s": job.wall_s,
         "attempts": job.attempts,
         "worker": job.worker,

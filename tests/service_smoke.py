@@ -12,10 +12,11 @@ targets::
 stream every result, and the warm resubmit must be satisfied entirely
 from the cache or queue dedup (zero executions), with a clean shutdown.
 
-``obs`` serves with tracing on, scrapes ``/v1/metrics`` cold, drives a
-multi-job sweep through ``/v1/sweep``, then asserts the queue/scheduler
-series moved, the lifecycle export reassembles into exactly one root
-span tree, and CHK7xx passes over the obs dir.
+``obs`` serves with run capture on, scrapes ``/v1/metrics`` cold,
+drives a multi-job sweep through ``/v1/sweep``, then asserts the
+queue/scheduler/batch series moved, every stream job event carries its
+queue wait (``wait_s``), and each executed job's run record is found
+by its spec hash under the obs dir.
 
 Each mode prints what it saw and exits 1 with one ``FAIL`` line per
 broken expectation.
@@ -30,11 +31,8 @@ import urllib.request
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro import check as chk
 from repro.obs import ObsOptions
-from repro.obs.dist import SPAN_BATCH
 from repro.obs.prom import parse_prometheus
-from repro.obs.tree import format_trace_forest, load_trace_forest
 from repro.runtime.service import ExperimentService, serve_http
 from repro.runtime.spec import RunSpec
 from repro.units import mib
@@ -153,8 +151,8 @@ def obs_smoke(args) -> List[str]:
             "kwargs": {"good_wifi": True,
                        "download_bytes": mib(args.size_mb)},
         })
-        batch = sweep["batch"]
-        events = stream(f"{base}/v1/stream/{batch}")
+        events = stream(f"{base}/v1/stream/{sweep['batch']}")
+        jobs = [e for e in events if e.get("event") == "job"]
         tail = events[-1] if events else {}
         if not tail.get("done"):
             failures.append("stream did not end in a finished summary")
@@ -168,37 +166,25 @@ def obs_smoke(args) -> List[str]:
                     f"{name} did not increase across the batch "
                     f"({before} -> {after})"
                 )
-        status = fetch("GET", f"{base}/v1/status")
-        trace_id = ""
-        for doc in status.get("batches", {}).values():
-            if doc.get("batch") == batch:
-                trace_id = doc.get("trace_id", "")
-        if not trace_id:
-            failures.append(f"batch {batch} reported no trace id")
         fetch("POST", f"{base}/v1/shutdown")
         server.serve_thread.join(timeout=30)
 
-    trees = load_trace_forest(obs_dir, trace_id=trace_id or None)
-    if len(trees) != 1:
-        failures.append(f"expected 1 reassembled trace for {trace_id!r}, "
-                        f"got {len(trees)}")
-    for tree in trees:
-        if len(tree.roots) != 1 or tree.roots[0].span.name != SPAN_BATCH:
-            failures.append(
-                f"trace {tree.trace_id}: expected exactly one {SPAN_BATCH} "
-                f"root, got {[n.span.name for n in tree.roots]}"
-            )
-        if tree.orphans:
-            failures.append(f"trace {tree.trace_id}: {len(tree.orphans)} "
-                            f"orphan span(s)")
-    print(format_trace_forest(trees), end="")
-    report = chk.check_trace_topology(obs_dir)
-    print(report.format())
-    if not report.ok:
-        failures.append("CHK7xx trace-topology check failed")
+    if len(jobs) != tail.get("total"):
+        failures.append(f"streamed {len(jobs)} job events, summary counts "
+                        f"{tail.get('total')}")
+    for job in jobs:
+        wait_s = job.get("wait_s")
+        if not isinstance(wait_s, float) or wait_s < 0.0:
+            failures.append(f"job {job.get('hash')}: wait_s {wait_s!r}")
+            continue
+        record = obs_dir / f"{job.get('hash')}.trace.jsonl"
+        if job.get("outcome") == "executed" and not record.is_file():
+            failures.append(f"job {job.get('hash')}: no run record {record}")
+        print(f"{job.get('hash')} {job.get('outcome')}: "
+              f"wait {wait_s:.3f}s, wall {job.get('wall_s', 0.0):.3f}s")
     if not failures:
-        print("obs smoke OK: metrics moved across the batch, one root span "
-              "tree reassembled, trace topology checks pass")
+        print("obs smoke OK: metrics moved across the batch, every job "
+              "event carries its queue wait, run records found by hash")
     return failures
 
 

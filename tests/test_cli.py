@@ -218,8 +218,10 @@ class TestTraceCommand:
 
         code, out = run_cli(capsys, "check", "trace", str(obs_dir))
         assert code == 0
-        # Three run records plus the batch's lifecycle file.
-        assert "trace: OK (4 checked)" in out
+        # The three run records, and nothing else under the obs dir.
+        assert "trace: OK (3 checked)" in out
+        assert sorted(p.name for p in obs_dir.iterdir()) == [
+            r.name for r in records]
 
     def test_trace_obs_dir_override(self, tmp_path, capsys):
         obs_dir = tmp_path / "elsewhere"
@@ -245,6 +247,9 @@ class TestTraceCommand:
     def test_unknown_trace_subcommand_rejected(self, tmp_path, capsys):
         code = main(["trace", "frobnicate", str(tmp_path)])
         assert code == 2
+        # Runs correlate by spec hash; there is no span tree to print.
+        assert main(["trace", "tree", str(tmp_path)]) == 2
+        assert "choose summarize or timeline" in capsys.readouterr().err
 
 
 class TestCheckCommand:

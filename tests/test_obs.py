@@ -77,30 +77,29 @@ class TestTracer:
 
 class TestRunRecord:
     EVENT = {"t": 1.5, "type": "tcp.loss", "conn": "c", "interface": "lte"}
-    STAMP = {"trace_id": "t1", "span_id": "s1"}
 
     def test_roundtrip_with_trailing_records(self, tmp_path):
         path = obs.write_run_record(
             tmp_path / "r.trace.jsonl", events=[self.EVENT],
             profile={"spans": []}, metrics={"counters": {"x": 1.0}},
-            stamp=self.STAMP,
         )
         lines = path.read_text().splitlines()
-        assert json.loads(lines[0]) == {**self.EVENT, **self.STAMP}
-        assert [json.loads(line).get("record") for line in lines] == [
-            None, "profile", "metrics"]
+        assert json.loads(lines[0]) == self.EVENT
+        assert [json.loads(line) for line in lines[1:]] == [
+            {"record": "profile", "data": {"spans": []}},
+            {"record": "metrics", "data": {"counters": {"x": 1.0}}},
+        ]
         record = obs.read_run_record(path)
-        assert record.events == [{**self.EVENT, **self.STAMP}]
+        assert record.events == [self.EVENT]
         assert record.profile == {"spans": []}
         assert record.metrics == {"counters": {"x": 1.0}}
-        assert record.stamp == ("t1", "s1")
 
     def test_unstamped_events_only(self, tmp_path):
         path = obs.write_run_record(tmp_path / "r.trace.jsonl", [self.EVENT])
+        assert path.read_text() == json.dumps(self.EVENT, sort_keys=True) + "\n"
         record = obs.read_run_record(path)
         assert record.events == [self.EVENT]
         assert record.profile is None and record.metrics is None
-        assert record.stamp is None
 
     def test_malformed_line_raises(self, tmp_path):
         path = tmp_path / "bad.trace.jsonl"
@@ -320,15 +319,15 @@ class TestRuntimeIntegration:
         options = obs.ObsOptions(dir=str(tmp_path / "obs"), trace=True,
                                  metrics=True, profile=True)
         run_many(specs, obs=options)
+        # Only the run records, each named by its spec hash: no
+        # per-batch file sits beside them.
         files = sorted(p.name for p in (tmp_path / "obs").iterdir())
-        lifecycle = [n for n in files if n.endswith(".lifecycle.jsonl")]
-        assert len(lifecycle) == 1
-        assert sorted(set(files) - set(lifecycle)) == sorted(
+        assert files == sorted(
             f"{spec.content_hash()}.trace.jsonl" for spec in specs)
         for spec in specs:
             record = obs.read_run_record(
                 tmp_path / "obs" / f"{spec.content_hash()}.trace.jsonl")
-            assert record.events and record.stamp is not None
+            assert record.events and validate_events(record.events) == []
             assert record.profile["spans"] and "counters" in record.metrics
 
     @pytest.mark.parametrize("capture", [

@@ -262,7 +262,7 @@ class TestPerfCli:
             capsys, "trace", "summarise",
             "--cache-dir", str(tmp_path / "nonexistent"))
         assert code == 2
-        assert "summarize, timeline, or tree" in err
+        assert "choose summarize or timeline" in err
 
     def test_trace_timeline_cli(self, capsys, tmp_path):
         trace = tmp_path / "run.trace.jsonl"

@@ -449,6 +449,25 @@ class TestWallClockTimeoutFallback:
         assert results == [42]
 
 
+class TestWorkerEntryPoint:
+    """``_worker_run`` is what a pool worker runs; the repository
+    benchmark also calls it in-process with just the spec dict and the
+    timeout, so that two-argument form is pinned here."""
+
+    def test_two_argument_call_returns_the_encoded_result(self):
+        from repro.runtime.scheduler import _worker_run
+        from repro.runtime.spec import get_builder
+
+        spec = small_spec(seed=3)
+        out = _worker_run(spec.to_dict(), None)
+        assert isinstance(out, tuple) and len(out) == 5
+        encoded, wall, worker, trace, perf = out
+        decoded = get_builder(spec.builder).decode(encoded)
+        assert decoded.to_dict() == spec.execute().to_dict()
+        assert wall > 0.0 and worker == f"pid-{os.getpid()}"
+        assert trace == "" and isinstance(perf, dict)
+
+
 class TestSweepThroughRuntime:
     def test_scenario_ref_sweep_matches_legacy_scenario_sweep(self):
         values = (3.0, 6.0)

@@ -12,7 +12,6 @@ import threading
 
 import pytest
 
-from repro.obs import dist
 from repro.runtime import RunManifest, RunSpec, run_many, summarize
 from repro.runtime.queue import JobQueue
 from repro.runtime.batch import Batch
@@ -84,12 +83,13 @@ class TestDedup:
 
 
 class TestBatchSettling:
-    def test_concurrent_settles_lose_no_count_and_close_once(self, tmp_path):
+    def test_concurrent_settles_lose_no_count_and_close_once(self):
         """Indices settle from several threads at once (the service's
-        dispatcher and submitters): every one is counted and the root
-        span is recorded exactly once."""
+        dispatcher and submitters): every one is counted and the batch
+        closes exactly once (one cache-telemetry flush)."""
         scheduler = Scheduler(jobs=1)
-        scheduler.recorder = dist.SpanRecorder(tmp_path)
+        closes = []
+        scheduler.flush_telemetry = closes.append
         specs = [small_spec(seed=s % 48) for s in range(64)]
         queue = JobQueue()
         batch = Batch(specs, scheduler)
@@ -117,10 +117,7 @@ class TestBatchSettling:
         assert batch.done and batch.finished == 64
         assert batch.outcomes == {"executed": 48, "deduped": 16}
         assert batch.results == [spec.content_hash() for spec in specs]
-        spans = dist.read_lifecycle(
-            tmp_path / f"{batch.trace_id}{dist.LIFECYCLE_SUFFIX}"
-        )
-        assert [span.name for span in spans] == ["batch"]
+        assert closes == [queue]
 
 
 class TestPriorityAndDependencies:

@@ -1,18 +1,18 @@
-"""End-to-end distributed tracing through the execution runtime:
-run_many batches emit one reassemblable span tree, run exports are
-stamped, manifests carry the trace identity, the in-process pool
-(jobs=1) emits the same topology as the process pool, and the
-scheduler's metrics plane populates.
+"""Run correlation through the execution runtime: a captured run's
+record is named by its spec hash, the manifest line carries the same
+hash plus the job's queue wait, the in-process pool (jobs=1) reports
+the same per-job facts and writes the same records as the process
+pool, and the scheduler's metrics plane populates.
 """
 
 import json
 
 import pytest
 
-from repro.check.disttrace import check_trace_topology
-from repro.obs import ObsOptions, dist
-from repro.obs.tree import load_trace_forest
+from repro.check import check_traces
+from repro.obs import ObsOptions, capture, read_run_record
 from repro.runtime import (
+    ResultCache,
     RunManifest,
     RunSpec,
     register_builder,
@@ -50,15 +50,8 @@ def scratch_builder():
         spec_mod._REGISTRY.pop(name, None)
 
 
-def _span_names(obs_dir):
-    spans = []
-    for trace in dist.load_spans(obs_dir).values():
-        spans.extend(trace.values())
-    return sorted(span.name for span in spans)
-
-
 class TestRunManyTracing:
-    def test_batch_yields_one_stamped_correlated_tree(self, tmp_path):
+    def test_batch_correlates_by_spec_hash(self, tmp_path):
         obs_dir = tmp_path / "obs"
         specs = [small_spec(seed=s) for s in range(2)]
         manifest_path = tmp_path / "run.jsonl"
@@ -66,75 +59,70 @@ class TestRunManyTracing:
             run_many(specs, manifest=manifest,
                      obs=ObsOptions(dir=str(obs_dir)))
 
-        trees = load_trace_forest(obs_dir)
-        assert len(trees) == 1
-        tree = trees[0]
-        assert len(tree.roots) == 1 and not tree.orphans
-        root = tree.roots[0]
-        assert root.span.name == "batch"
-        assert root.span.attrs["jobs"] == 2
-        assert [n.span.name for n in root.children] == ["job", "job"]
-        for job in root.children:
-            kinds = sorted(n.span.name for n in job.children)
-            assert kinds == ["job.exec", "queue.wait"]
-
-        # Every run export carries the batch's trace id.
-        trace_files = sorted(obs_dir.glob("*.trace.jsonl"))
-        assert len(trace_files) == 2
-        for path in trace_files:
-            for line in path.read_text().splitlines():
-                doc = json.loads(line)
-                assert doc["trace_id"] == tree.trace_id
-
-        # Manifest lines tie back to the same trace.
+        # One run record per spec, named by its hash, and nothing else.
+        hashes = sorted(spec.content_hash() for spec in specs)
+        assert sorted(p.name for p in obs_dir.iterdir()) == [
+            f"{h}.trace.jsonl" for h in hashes]
+        # The manifest line names the same hash and the same record.
         entries = RunManifest.read(manifest_path)
-        assert all(e.trace_id == tree.trace_id for e in entries)
-        assert all(e.span_id for e in entries)
-
-        report = check_trace_topology(obs_dir)
-        assert report.ok, report.format()
+        assert sorted(e.spec_hash for e in entries) == hashes
+        for entry in entries:
+            assert entry.outcome == "executed"
+            assert entry.trace == str(obs_dir / f"{entry.spec_hash}.trace.jsonl")
+            assert entry.wait_s >= 0.0
+        # A record holds the run's own events and nothing merged in.
+        with capture(trace=True, metrics=False) as session:
+            specs[0].execute()
+        assert read_run_record(
+            obs_dir / f"{specs[0].content_hash()}.trace.jsonl"
+        ).events == json.loads(json.dumps(list(session.tracer)))
+        report = check_traces(obs_dir)
+        assert report.ok and report.checked == 2, report.format()
 
     def test_rerun_replaces_rather_than_duplicates(self, tmp_path):
         obs_dir = tmp_path / "obs"
         specs = [small_spec()]
+        texts = []
         for _ in range(2):
             run_many(specs, obs=ObsOptions(dir=str(obs_dir)))
-        files = dist.iter_lifecycle_files(obs_dir)
-        assert len(files) == 1  # deterministic id -> same file
-        tree = load_trace_forest(obs_dir)[0]
-        assert len(tree.roots) == 1
-        assert check_trace_topology(obs_dir).ok
+            files = list(obs_dir.iterdir())
+            assert [p.name for p in files] == [
+                f"{specs[0].content_hash()}.trace.jsonl"]
+            texts.append(files[0].read_text())
+        assert texts[0] == texts[1]  # event lines are deterministic
 
-    def test_tracing_off_writes_no_lifecycle_files(self, tmp_path):
-        run_many([small_spec()])
-        assert dist.iter_lifecycle_files(tmp_path) == []
+    def test_tracing_off_writes_no_run_records(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        run_many([small_spec()], cache=cache)
+        assert not (tmp_path / "cache" / "obs").exists()
 
     def test_manifest_entry_defaults_stay_compatible(self):
-        # Pre-tracing manifests must still parse.
         entry = ManifestEntry(
             spec_hash="x", label="l", protocol="p", builder="b", seed=0,
             outcome="executed", wall_time_s=0.0, worker="w", attempt=1,
             timestamp=0.0,
         )
-        assert entry.trace_id == "" and entry.span_id == ""
+        assert entry.trace == "" and entry.perf is None
+        assert entry.wait_s == 0.0
 
 
-def _drive_batch(tmp_path, name, jobs, specs):
-    """One batch through Scheduler.run_batch with tracing attached."""
+def _drive_batch(tmp_path, name, jobs, specs, obs=False):
+    """One batch through Scheduler.run_batch, one manifest line per
+    settled index; ``obs`` also captures each run into a record."""
     obs_dir = tmp_path / name / "obs"
     manifest_path = tmp_path / name / "run.jsonl"
     scheduler = Scheduler(
         jobs=jobs,
         retry=RetryPolicy(retries=0),
         timeout=TimeoutPolicy(None),
+        obs=ObsOptions(dir=str(obs_dir)) if obs else None,
     )
-    scheduler.recorder = dist.SpanRecorder(obs_dir)
     with RunManifest(manifest_path) as manifest:
         def settle(index, outcome, job):
             manifest.record(
                 specs[index], outcome, wall_time_s=job.wall_s,
                 worker=job.worker or "local", attempt=max(1, job.attempts),
-                trace_id=job.ctx.trace_id, span_id=job.ctx.span_id,
+                trace=job.trace, wait_s=job.wait_s, spec_hash=job.spec_hash,
             )
 
         queue = JobQueue()
@@ -145,49 +133,42 @@ def _drive_batch(tmp_path, name, jobs, specs):
 
 
 class TestInlineAsyncParity:
-    """A batch run on the in-process pool (jobs=1) must emit the same
-    lifecycle spans and manifest trace fields as one run on the process
-    pool (jobs=2)."""
+    """A batch run on the in-process pool (jobs=1) must report the same
+    per-job facts and write the same run records as one run on the
+    process pool (jobs=2)."""
 
-    def test_span_topology_is_identical(self, tmp_path):
+    def test_manifest_outcomes_are_identical(self, tmp_path):
         specs = [small_spec(seed=s) for s in range(2)]
-        _, inline_dir, inline_manifest = _drive_batch(
-            tmp_path, "inline", 1, specs)
-        _, pool_dir, pool_manifest = _drive_batch(
-            tmp_path, "pool", 2, specs)
-
-        inline_spans = dist.load_spans(inline_dir)
-        pool_spans = dist.load_spans(pool_dir)
-        # Deterministic IDs: same specs -> same trace, same span ids,
-        # regardless of which pool executed them.
-        assert set(inline_spans) == set(pool_spans)
-        for trace_id in inline_spans:
-            inline_trace = inline_spans[trace_id]
-            pool_trace = pool_spans[trace_id]
-            assert set(inline_trace) == set(pool_trace)
-            for span_id, span in inline_trace.items():
-                other = pool_trace[span_id]
-                assert span.name == other.name
-                assert span.parent_span_id == other.parent_span_id
-                assert span.status == other.status
+        _, _, inline_manifest = _drive_batch(tmp_path, "inline", 1, specs)
+        _, _, pool_manifest = _drive_batch(tmp_path, "pool", 2, specs)
 
         inline_entries = RunManifest.read(inline_manifest)
         pool_entries = RunManifest.read(pool_manifest)
         assert {e.worker for e in inline_entries} == {"local"}
         assert all(e.worker.startswith("pid-") for e in pool_entries)
+        assert all(e.wait_s >= 0.0 for e in inline_entries + pool_entries)
         assert (
-            sorted((e.spec_hash, e.trace_id, e.span_id, e.outcome)
+            sorted((e.spec_hash, e.outcome, e.attempt)
                    for e in inline_entries)
-            == sorted((e.spec_hash, e.trace_id, e.span_id, e.outcome)
+            == sorted((e.spec_hash, e.outcome, e.attempt)
                       for e in pool_entries)
         )
 
-    def test_both_paths_pass_chk7xx(self, tmp_path):
+    def test_both_paths_write_the_same_run_records(self, tmp_path):
         specs = [small_spec(seed=s) for s in range(2)]
+        records = {}
         for name, jobs in (("inline", 1), ("pool", 2)):
-            _, obs_dir, _ = _drive_batch(tmp_path, name, jobs, specs)
-            report = check_trace_topology(obs_dir)
-            assert report.ok, f"{name}: {report.format()}"
+            _, obs_dir, manifest_path = _drive_batch(
+                tmp_path, name, jobs, specs, obs=True)
+            report = check_traces(obs_dir)
+            assert report.ok and report.checked == 2, report.format()
+            records[name] = {
+                entry.spec_hash: read_run_record(entry.trace).events
+                for entry in RunManifest.read(manifest_path)
+            }
+        assert sorted(records["inline"]) == sorted(
+            spec.content_hash() for spec in specs)
+        assert records["inline"] == records["pool"]
 
     def test_both_paths_count_metrics(self, tmp_path):
         specs = [small_spec(seed=s) for s in (9, 10)]
@@ -201,7 +182,7 @@ class TestInlineAsyncParity:
 
 
 class TestFailurePlane:
-    def test_failed_job_records_span_and_counter(
+    def test_failed_job_records_manifest_line_and_counter(
         self, tmp_path, scratch_builder
     ):
         def boom(spec):
@@ -209,15 +190,14 @@ class TestFailurePlane:
 
         scratch_builder("trace-boom", boom)
         specs = [RunSpec("emptcp", "trace-boom")]
-        scheduler, obs_dir, _ = _drive_batch(tmp_path, "fail", 1, specs)
+        scheduler, _, manifest_path = _drive_batch(
+            tmp_path, "fail", 1, specs)
 
-        trace = next(iter(dist.load_spans(obs_dir).values()))
-        job_spans = [s for s in trace.values() if s.name == "job"]
-        assert len(job_spans) == 1
-        assert job_spans[0].status == "failed"
-        assert job_spans[0].attrs["outcome"] == "failed"
-        exec_spans = [s for s in trace.values() if s.name == "job.exec"]
-        assert exec_spans and all(s.status == "error" for s in exec_spans)
+        # A deterministic failure is not retried: one attempt, one line.
+        entries = RunManifest.read(manifest_path)
+        assert [(e.outcome, e.attempt) for e in entries] == [("failed", 1)]
+        assert entries[0].spec_hash == specs[0].content_hash()
+        assert entries[0].worker == "local" and entries[0].wait_s >= 0.0
 
         assert scheduler.metrics.to_dict()["counters"][
             "scheduler.jobs_failed"] == 1
